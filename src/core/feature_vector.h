@@ -2,6 +2,7 @@
 #ifndef SUPERFE_CORE_FEATURE_VECTOR_H_
 #define SUPERFE_CORE_FEATURE_VECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,6 +23,16 @@ class FeatureSink {
  public:
   virtual ~FeatureSink() = default;
   virtual void OnFeatureVector(FeatureVector&& vector) = 0;
+
+  // Optional per-member entry point for the parallel NIC cluster. A sink
+  // that returns non-null here receives member `member`'s vectors on the
+  // returned sink instead: calls on one member sink never overlap, but
+  // different members' sinks (and OnFeatureVector) may run concurrently,
+  // so each needs state of its own. The returned sink must outlive the
+  // runs it is bound to. The default (null) keeps the serialized path:
+  // the cluster funnels every member through one lock, and this sink sees
+  // one call at a time.
+  virtual FeatureSink* MemberSink(size_t /*member*/) { return nullptr; }
 };
 
 // Convenience sink that stores everything (tests, examples, detectors).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -22,6 +24,9 @@ uint64_t SteadyNowNs() {
 
 }  // namespace
 
+// The NIC side is built once at Create, but the user sink arrives per
+// Run/RunDaemon: the NIC (or each cluster member) emits into this sink,
+// which forwards to the current target.
 class SuperFeRuntime::ForwardingSink : public FeatureSink {
  public:
   void OnFeatureVector(FeatureVector&& vector) override {
@@ -29,10 +34,51 @@ class SuperFeRuntime::ForwardingSink : public FeatureSink {
       target_->OnFeatureVector(std::move(vector));
     }
   }
-  void set_target(FeatureSink* target) { target_ = target; }
+
+  // Cluster member `member`'s entry point. It forwards to the target's own
+  // member sink when the target offers one, and otherwise to the target
+  // itself under a lock shared by all members (the target then sees one
+  // call at a time, as NicCluster's serializing wrapper would give it).
+  FeatureSink* MemberSink(size_t member) override {
+    while (members_.size() <= member) {
+      members_.push_back(std::make_unique<Member>(this, members_.size()));
+    }
+    return members_[member].get();
+  }
+
+  // Quiescent only (before a run starts or after its final barrier).
+  void set_target(FeatureSink* target) {
+    target_ = target;
+    for (auto& member : members_) {
+      member->Resolve(target);
+    }
+  }
 
  private:
+  class Member : public FeatureSink {
+   public:
+    Member(ForwardingSink* owner, size_t index) : owner_(owner), index_(index) {}
+    void OnFeatureVector(FeatureVector&& vector) override {
+      if (direct_ != nullptr) {
+        direct_->OnFeatureVector(std::move(vector));
+      } else if (owner_->target_ != nullptr) {
+        std::lock_guard<std::mutex> lock(owner_->serialize_mu_);
+        owner_->target_->OnFeatureVector(std::move(vector));
+      }
+    }
+    void Resolve(FeatureSink* target) {
+      direct_ = target != nullptr ? target->MemberSink(index_) : nullptr;
+    }
+
+   private:
+    ForwardingSink* owner_;
+    size_t index_;
+    FeatureSink* direct_ = nullptr;
+  };
+
   FeatureSink* target_ = nullptr;
+  std::mutex serialize_mu_;
+  std::vector<std::unique_ptr<Member>> members_;
 };
 
 // Serial-path latency shim: with worker_threads == 0 there is no NicCluster

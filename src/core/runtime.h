@@ -322,7 +322,10 @@ class SuperFeRuntime {
                                                         const RuntimeConfig& config);
   ~SuperFeRuntime();  // Out of line: ForwardingSink is incomplete here.
 
-  // Replays the trace through switch + NIC, flushes both, reports.
+  // Replays the trace through switch + NIC, flushes both, reports. `sink`
+  // sees one call at a time, unless it offers member sinks
+  // (FeatureSink::MemberSink): then each parallel cluster member emits into
+  // its own, concurrently.
   RunReport Run(const Trace& trace, FeatureSink* sink);
 
   // Continuous-operation mode (docs/ROBUSTNESS.md, "Daemon mode"): pulls
@@ -460,9 +463,10 @@ class SuperFeRuntime {
   std::unique_ptr<SerialLatencySink> serial_latency_;
   std::unique_ptr<FeSwitch> switch_;          // switch_shards == 1.
   std::unique_ptr<ShardedFeSwitch> sharded_;  // switch_shards > 1.
-  FeatureSink* user_sink_ = nullptr;
 
-  // Internal forwarding sink: FeNic is created per Run with the user sink.
+  // Internal forwarding sink: the NIC side is built once at Create, and
+  // SetSinkTarget points it (and its per-member forwarders) at each run's
+  // user sink.
   class ForwardingSink;
   std::unique_ptr<ForwardingSink> forwarding_;
 

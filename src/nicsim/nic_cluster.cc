@@ -39,18 +39,26 @@ Result<std::unique_ptr<NicCluster>> NicCluster::Create(const CompiledPolicy& com
   if (nic_count == 0) {
     return Status::InvalidArgument("a NIC cluster needs at least one member");
   }
-  // Parallel members emit concurrently into the shared sink; interpose a
-  // serializing wrapper so the user sink sees one call at a time.
+  // Member i emits into the sink's own member sink when it offers one.
+  // Otherwise parallel members would emit concurrently into the shared
+  // sink, so they go through a serializing wrapper that lets the user sink
+  // see one call at a time.
   std::unique_ptr<SerializingSink> serializing;
-  FeatureSink* member_sink = sink;
-  if (options.parallel) {
-    serializing = std::make_unique<SerializingSink>(sink);
-    member_sink = serializing.get();
+  std::vector<FeatureSink*> member_sinks(nic_count, sink);
+  for (size_t i = 0; i < nic_count && sink != nullptr; ++i) {
+    if (FeatureSink* member = sink->MemberSink(i)) {
+      member_sinks[i] = member;
+    } else if (options.parallel) {
+      if (serializing == nullptr) {
+        serializing = std::make_unique<SerializingSink>(sink);
+      }
+      member_sinks[i] = serializing.get();
+    }
   }
   std::vector<std::unique_ptr<FeNic>> nics;
   nics.reserve(nic_count);
   for (size_t i = 0; i < nic_count; ++i) {
-    auto nic = FeNic::Create(compiled, config, member_sink);
+    auto nic = FeNic::Create(compiled, config, member_sinks[i]);
     if (!nic.ok()) {
       return nic.status();
     }

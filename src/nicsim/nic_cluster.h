@@ -171,8 +171,10 @@ struct ClusterCostReport {
 
 class NicCluster : public MgpvSink {
  public:
-  // Creates `nic_count` FE-NIC instances sharing one feature sink. In
-  // parallel mode the sink is wrapped so concurrent per-member emissions
+  // Creates `nic_count` FE-NIC instances sharing one feature sink. Member
+  // i emits into sink->MemberSink(i) when the sink offers one (calls on it
+  // never overlap: only member i's owner thread emits there). Otherwise, in
+  // parallel mode, the sink is wrapped so concurrent per-member emissions
   // are serialized; the user sink needs no locking of its own.
   static Result<std::unique_ptr<NicCluster>> Create(const CompiledPolicy& compiled,
                                                     const FeNicConfig& config, size_t nic_count,
@@ -383,9 +385,10 @@ class NicCluster : public MgpvSink {
 
   std::vector<std::unique_ptr<FeNic>> nics_;
   NicClusterOptions options_;
-  std::unique_ptr<SerializingSink> serializing_sink_;  // Parallel mode only.
-  std::vector<std::unique_ptr<Worker>> workers_;       // Parallel mode only.
-  std::unique_ptr<Producer> default_producer_;         // Parallel mode only.
+  // Parallel mode, when some member has no member sink of its own.
+  std::unique_ptr<SerializingSink> serializing_sink_;
+  std::vector<std::unique_ptr<Worker>> workers_;  // Parallel mode only.
+  std::unique_ptr<Producer> default_producer_;    // Parallel mode only.
 
   // Latency stages recorded at report granularity (null = tracking off).
   // Shared across workers; LatencyHistogram::Observe is wait-free.

@@ -1,7 +1,6 @@
 #include "switchsim/group_key.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/hash.h"
 
@@ -73,14 +72,21 @@ uint32_t GroupKey::Hash() const {
 }
 
 std::string GroupKey::ToString() const {
-  std::string out = GranularityName(granularity);
-  out += ":";
-  for (int i = 0; i < length; ++i) {
-    char buf[4];
-    std::snprintf(buf, sizeof(buf), "%02x", bytes[i]);
-    out += buf;
-  }
+  std::string out;
+  AppendText(&out);
   return out;
+}
+
+void GroupKey::AppendText(std::string* out) const {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->append(GranularityName(granularity));
+  out->push_back(':');
+  char hex[2 * sizeof(bytes)];
+  for (int i = 0; i < length; ++i) {
+    hex[2 * i] = kHex[bytes[i] >> 4];
+    hex[2 * i + 1] = kHex[bytes[i] & 0xf];
+  }
+  out->append(hex, 2 * length);
 }
 
 }  // namespace superfe

@@ -52,7 +52,10 @@ struct GroupKey {
   // is shipped to the NIC (hash-reuse optimization, §6.2).
   uint32_t Hash() const;
 
+  // "<granularity>:<hex bytes>", e.g. "flow:0a000001...". AppendText
+  // appends the same text to `out` (the CSV export's hot path).
   std::string ToString() const;
+  void AppendText(std::string* out) const;
 };
 
 struct GroupKeyHash {

@@ -9,12 +9,12 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "core/csv_export.h"
 #include "core/runtime.h"
 #include "net/replay.h"
 #include "net/trace_gen.h"
@@ -127,19 +127,16 @@ TEST(ShardedReplayTest, FeatureMultisetMatchesSerialReference) {
   }
 }
 
-// CSV lines exactly as tools/superfe_run's CsvSink writes them (default
-// ostream double formatting), sorted — the byte-level comparison the CI
-// export-smoke diff performs.
+// CSV rows exactly as superfe_run writes them (core/csv_export.h: every
+// double in shortest round-trip form, so equal rows mean equal bits),
+// sorted — the byte-level comparison the CI export-smoke diff performs.
 std::vector<std::string> SortedCsvLines(const std::vector<FeatureVector>& vectors) {
   std::vector<std::string> lines;
   lines.reserve(vectors.size());
   for (const auto& v : vectors) {
-    std::ostringstream line;
-    line << v.group.ToString() << "," << v.timestamp_ns;
-    for (double value : v.values) {
-      line << "," << value;
-    }
-    lines.push_back(line.str());
+    std::string line;
+    AppendCsvRow(&line, v);
+    lines.push_back(std::move(line));
   }
   std::sort(lines.begin(), lines.end());
   return lines;

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/json_writer.h"
+#include "core/csv_export.h"
 #include "core/runtime.h"
 #include "net/ingest.h"
 #include "net/pcap.h"
@@ -122,78 +123,6 @@ constexpr int kExitDrained = 6;
 std::atomic<int> g_stop{0};
 
 void StopHandler(int sig) { g_stop.store(sig, std::memory_order_relaxed); }
-
-void WriteCsvHeader(std::ostream& out, const NicProgram& program) {
-  out << "group,timestamp_ns";
-  for (const auto& slot : program.layout) {
-    if (slot.Width() == 1) {
-      out << "," << slot.Name();
-    } else {
-      for (uint32_t i = 0; i < slot.Width(); ++i) {
-        out << "," << slot.Name() << "[" << i << "]";
-      }
-    }
-  }
-  out << "\n";
-}
-
-void WriteCsvRow(std::ostream& out, const FeatureVector& vector) {
-  out << vector.group.ToString() << "," << vector.timestamp_ns;
-  for (double v : vector.values) {
-    out << "," << v;
-  }
-  out << "\n";
-}
-
-class CsvSink : public FeatureSink {
- public:
-  CsvSink(std::ostream& out, const NicProgram& program) : out_(out) {
-    WriteCsvHeader(out_, program);
-  }
-
-  void OnFeatureVector(FeatureVector&& vector) override {
-    WriteCsvRow(out_, vector);
-    ++count_;
-  }
-
-  uint64_t count() const { return count_; }
-
- private:
-  std::ostream& out_;
-  uint64_t count_ = 0;
-};
-
-// Daemon-mode sink for --epoch-dir: one CSV file per rolling epoch, swapped
-// at the (quiescent) epoch boundary by the on_epoch callback. Vectors that
-// arrive between boundaries all land in the currently open file.
-class RotatingCsvSink : public FeatureSink {
- public:
-  explicit RotatingCsvSink(const NicProgram& program) : program_(program) {}
-
-  bool OpenEpochFile(const std::string& path) {
-    file_.close();
-    file_.clear();
-    file_.open(path);
-    if (!file_) {
-      return false;
-    }
-    WriteCsvHeader(file_, program_);
-    return true;
-  }
-
-  void OnFeatureVector(FeatureVector&& vector) override {
-    WriteCsvRow(file_, vector);
-    ++count_;
-  }
-
-  bool ok() const { return file_.good(); }
-  uint64_t count() const { return count_; }
-
- private:
-  const NicProgram& program_;
-  std::ofstream file_;
-  uint64_t count_ = 0;
-};
 
 // One epochs.jsonl line per closed epoch (hand-formatted: JsonWriter
 // pretty-prints, and the soak harness parses this file line by line): the
@@ -575,17 +504,18 @@ int main(int argc, char** argv) {
     std::ofstream file;
     std::ostream* out = &std::cout;
     std::unique_ptr<CsvSink> csv;
-    std::unique_ptr<RotatingCsvSink> rotating;
+    RotatingCsvSink* rotating = nullptr;  // csv, when --epoch-dir is set.
     std::ofstream jsonl;
-    bool epoch_files_ok = true;
-    FeatureSink* sink = nullptr;
+    bool csv_ok = true;
     const auto epoch_path = [&](uint64_t index) {
       char name[32];
       std::snprintf(name, sizeof(name), "epoch_%05llu.csv", (unsigned long long)index);
       return epoch_dir + "/" + name;
     };
     if (!epoch_dir.empty()) {
-      rotating = std::make_unique<RotatingCsvSink>((*runtime)->compiled().nic_program);
+      auto epoch_sink = std::make_unique<RotatingCsvSink>((*runtime)->compiled().nic_program);
+      rotating = epoch_sink.get();
+      csv = std::move(epoch_sink);
       if (!rotating->OpenEpochFile(epoch_path(1))) {
         std::fprintf(stderr, "cannot write %s\n", epoch_path(1).c_str());
         return kExitExportFailure;
@@ -595,7 +525,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cannot write %s/epochs.jsonl\n", epoch_dir.c_str());
         return kExitExportFailure;
       }
-      sink = rotating.get();
     } else {
       if (!out_path.empty()) {
         file.open(out_path);
@@ -605,8 +534,7 @@ int main(int argc, char** argv) {
         }
         out = &file;
       }
-      csv = std::make_unique<CsvSink>(*out, (*runtime)->compiled().nic_program);
-      sink = csv.get();
+      csv = std::make_unique<CsvSink>(out, (*runtime)->compiled().nic_program);
     }
 
     DaemonConfig dcfg;
@@ -627,20 +555,25 @@ int main(int argc, char** argv) {
         WriteEpochJsonl(jsonl, e);
         jsonl.flush();  // A soak supervisor tails this between epochs.
       }
-      if (rotating != nullptr) {
-        epoch_files_ok = epoch_files_ok && rotating->ok();
-        if (!e.final_epoch) {
-          epoch_files_ok = rotating->OpenEpochFile(epoch_path(e.index + 1)) &&
-                           epoch_files_ok;
-        }
+      // The epoch's drain barrier has parked every worker, so the member
+      // chunks hold exactly this epoch's remaining rows: write them out
+      // before the next epoch's file opens.
+      csv_ok = csv->Drain() && csv_ok;
+      if (rotating != nullptr && !e.final_epoch) {
+        csv_ok = rotating->OpenEpochFile(epoch_path(e.index + 1)) && csv_ok;
       }
     };
 
-    const DaemonReport d = (*runtime)->RunDaemon(*source, sink, dcfg);
+    const DaemonReport d = (*runtime)->RunDaemon(*source, csv.get(), dcfg);
 
-    bool exports_ok = write_obs_exports() && epoch_files_ok;
-    exports_ok = exports_ok && (rotating == nullptr || rotating->ok());
-    const uint64_t vectors = rotating != nullptr ? rotating->count() : csv->count();
+    if (!csv_ok) {
+      const std::string what = !epoch_dir.empty() ? epoch_dir + "/epoch_*.csv"
+                               : !out_path.empty() ? out_path
+                                                   : "stdout";
+      std::fprintf(stderr, "cannot write %s\n", what.c_str());
+    }
+    const bool exports_ok = write_obs_exports() && csv_ok;
+    const uint64_t vectors = csv->count();
     std::fprintf(stderr,
                  "daemon: %zu epochs (%s) | ingested %llu packets (shed %llu) | "
                  "replayed %llu | %llu vectors | %.0f ms\n",
@@ -701,10 +634,15 @@ int main(int argc, char** argv) {
     }
     out = &file;
   }
-  CsvSink sink(*out, (*runtime)->compiled().nic_program);
+  CsvSink sink(out, (*runtime)->compiled().nic_program);
   const RunReport run = (*runtime)->Run(trace, &sink);
-
-  const bool exports_ok = write_obs_exports();
+  // Run's final barrier has parked every worker: the member chunks are
+  // complete and go out now, then the stream is flushed and checked.
+  const bool csv_ok = sink.Drain();
+  if (!csv_ok) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.empty() ? "stdout" : out_path.c_str());
+  }
+  const bool exports_ok = write_obs_exports() && csv_ok;
 
   if (report || !out_path.empty()) {
     std::fprintf(stderr,
