@@ -1,4 +1,5 @@
-// Continuous-operation daemon mode (docs/ROBUSTNESS.md, "Daemon mode").
+// The run loop (docs/ROBUSTNESS.md, "Daemon mode"). One-shot Run() is this
+// loop over a one-loop LoopedTraceSource with no rotation.
 //
 // RunDaemon wires a PacketSource into a StreamingReplay and closes rolling
 // MGPV epochs at packet-count / wall-time boundaries. An epoch boundary is
@@ -61,11 +62,10 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
   const size_t chunk_packets = std::max<size_t>(daemon.chunk_packets, 1);
   DaemonReport report;
 
-  SetSinkTarget(sink);
-  BeginRunTelemetry();
-  // Packet-indexed fault triggers resolve against the caller-supplied axis
-  // (the first loop of a looped source), with the same arithmetic Run()
-  // uses — so a chaos plan bites at identical trace times in both modes.
+  BeginRun(sink);
+  // Packet-indexed fault triggers resolve over the looped stream the source
+  // emits, so a chaos plan bites at identical trace times whether the loops
+  // stream from one copy or replay a materialized trace.
   ResolveFaultTriggers(daemon.fault_trigger_trace);
 
   std::vector<PacketSink*> sinks;
@@ -97,13 +97,11 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
     t.bytes = r.bytes;
     const MgpvStats mg =
         sharded_ != nullptr ? sharded_->AggregateMgpvStats() : switch_->cache().stats();
-    const FeNicStats nic = cluster_ != nullptr ? cluster_->AggregateStats() : nic_->stats();
+    const FeNicStats nic = cluster_->AggregateStats();
     t.cells_processed = nic.cells;
     t.vectors = nic.vectors_emitted;
-    if (cluster_ != nullptr) {
-      for (size_t i = 0; i < cluster_->size(); ++i) {
-        t.cells_overflow += cluster_->worker_stats(i).cells_dropped;
-      }
+    for (size_t i = 0; i < cluster_->size(); ++i) {
+      t.cells_overflow += cluster_->worker_stats(i).cells_dropped;
     }
     if (injector_ != nullptr) {
       const FaultStats fs = injector_->Snapshot();
@@ -180,13 +178,10 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
     for (auto& producer : shard_producers_) {
       producer->Close();  // Stage->queue + fold offered counts, then reopen.
     }
-    if (cluster_ != nullptr) {
-      const uint64_t timeout = daemon.drain_timeout_ms > 0
-                                   ? daemon.drain_timeout_ms
-                                   : cluster_->options().flush_timeout_ms;
-      drain_barrier_ok = cluster_->DrainWithDeadline(timeout).ok() && drain_barrier_ok;
-      cluster_->UpdateObsGauges();
-    }
+    const uint64_t timeout = daemon.drain_timeout_ms > 0 ? daemon.drain_timeout_ms
+                                                         : cluster_->options().flush_timeout_ms;
+    drain_barrier_ok = cluster_->DrainWithDeadline(timeout).ok() && drain_barrier_ok;
+    cluster_->UpdateObsGauges();
     const PipelineTotals now = snapshot();
     double occupancy = 0.0;
     uint64_t mgpv_epoch = 0;
@@ -265,8 +260,8 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
     }
   }
 
-  // Final epoch: identical drain, then the one-shot end-of-run flush
-  // (cache eviction, NIC flush barrier, latency-shim fold).
+  // Final epoch: identical drain, then the end-of-run flush (cache
+  // eviction, NIC flush barrier).
   stream.WaitIdle();
   stream.Close();
   const ReplayReport offered = stream.Report();

@@ -10,7 +10,6 @@
 
 #include "common/build_info.h"
 #include "common/json_writer.h"
-#include "obs/worker_block.h"
 
 namespace superfe {
 
@@ -24,9 +23,9 @@ uint64_t SteadyNowNs() {
 
 }  // namespace
 
-// The NIC side is built once at Create, but the user sink arrives per
-// Run/RunDaemon: the NIC (or each cluster member) emits into this sink,
-// which forwards to the current target.
+// The NIC side is built once at Create, but the user sink arrives per run:
+// each cluster member emits into its member forwarder here, which forwards
+// to the current target.
 class SuperFeRuntime::ForwardingSink : public FeatureSink {
  public:
   void OnFeatureVector(FeatureVector&& vector) override {
@@ -79,59 +78,6 @@ class SuperFeRuntime::ForwardingSink : public FeatureSink {
   FeatureSink* target_ = nullptr;
   std::mutex serialize_mu_;
   std::vector<std::unique_ptr<Member>> members_;
-};
-
-// Serial-path latency shim: with worker_threads == 0 there is no NicCluster
-// between MGPV and the FeNic, so this wrapper measures the service and
-// end-to-end stages around each report. On the producer thread the clock
-// cannot advance mid-call, so service is 0 trace-time ns and end-to-end
-// equals the MGPV residency — the same invariants the cluster's serial
-// dispatch records. There is no queue, hence no queue-wait stage.
-class SuperFeRuntime::SerialLatencySink : public MgpvSink {
- public:
-  // `registry` non-null enables the hot tier (single replay thread only —
-  // the block's cells are plain fields); null keeps the direct relaxed-
-  // atomic observes, which are safe from any number of replay shards.
-  SerialLatencySink(MgpvSink* target, obs::TraceClock* clock,
-                    obs::LatencyHistogram* service, obs::LatencyHistogram* e2e,
-                    obs::MetricsRegistry* registry, uint32_t batch_packets)
-      : target_(target), clock_(clock), service_(service), e2e_(e2e) {
-    block_.Init(registry, "serial-sink", batch_packets);
-    service_cell_ = block_.BindLatency(service);
-    e2e_cell_ = block_.BindLatency(e2e);
-  }
-
-  void OnMgpv(const MgpvReport& report) override {
-    const uint64_t before_ns = clock_->Now();
-    target_->OnMgpv(report);
-    const uint64_t after_ns = clock_->Now();
-    const uint64_t service_ns = after_ns - before_ns;
-    const uint64_t e2e_ns = after_ns > report.first_ingest_ns
-                                ? after_ns - report.first_ingest_ns
-                                : 0;
-    if (service_cell_ != nullptr) {
-      obs::Observe(service_cell_, service_ns);
-      obs::Observe(e2e_cell_, e2e_ns);
-      block_.NotePackets(report.cells.size());
-    } else {
-      obs::Observe(service_, service_ns);
-      obs::Observe(e2e_, e2e_ns);
-    }
-  }
-  void OnFgSync(const FgSyncMessage& sync) override { target_->OnFgSync(sync); }
-
-  // End-of-run fence: fold buffered deltas so post-run breakdown/sampler
-  // reads see exact totals.
-  void FlushObs() { block_.Flush(); }
-
- private:
-  MgpvSink* target_;
-  obs::TraceClock* clock_;
-  obs::LatencyHistogram* service_;
-  obs::LatencyHistogram* e2e_;
-  obs::WorkerObsBlock block_;
-  obs::WorkerObsBlock::LatencyCell* service_cell_ = nullptr;
-  obs::WorkerObsBlock::LatencyCell* e2e_cell_ = nullptr;
 };
 
 Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& policy,
@@ -197,84 +143,48 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
     }
   }
 
-  MgpvSink* nic_side = nullptr;
-  // Member-level fault routing and flush-time abandonment live in
-  // NicCluster, so an armed injector routes even the worker_threads == 0
-  // case through a single-member cluster in serial (inline-dispatch) mode.
-  const bool serial_fault_cluster = cfg.worker_threads == 0 && runtime->injector_ != nullptr;
-  if (cfg.worker_threads > 0 || serial_fault_cluster) {
-    NicClusterOptions options = cfg.cluster;
-    options.parallel = cfg.worker_threads > 0;
-    options.pin_threads = options.pin_threads || cfg.pin_threads;
-    options.metrics = runtime->metrics_.get();
-    options.trace = runtime->trace_.get();
-    options.trace_lane_base = 0;
-    options.worker_lane_base = shards;  // == historical base+1 when shards==1.
-    options.latency_clock = runtime->trace_clock_.get();
-    options.injector = runtime->injector_.get();
-    options.profile = cfg.obs.profile;
-    options.obs_batch_packets = cfg.obs.batch_packets;
-    if (cfg.fault.flush_timeout_ms > 0) {
-      options.flush_timeout_ms = cfg.fault.flush_timeout_ms;
-    }
-    if (cfg.fault.watchdog_interval_ms > 0) {
-      options.watchdog_interval_ms = cfg.fault.watchdog_interval_ms;
-      options.watchdog_timeout_ms = cfg.fault.watchdog_timeout_ms;
-    }
-    auto cluster = NicCluster::Create(runtime->compiled_, cfg.nic,
-                                      std::max<uint32_t>(cfg.worker_threads, 1),
-                                      runtime->forwarding_.get(), options);
-    if (!cluster.ok()) {
-      return cluster.status();
-    }
-    runtime->cluster_ = std::move(cluster).value();
-    if (shards > 1 && cfg.worker_threads > 0) {
-      // One feeding handle per replay shard, each emitting on its own
-      // producer trace lane; the cluster's built-in default producer stays
-      // unused. (A serial fault cluster has no producers: replay shards
-      // call the cluster's inline dispatch directly, which locks per NIC.)
-      for (uint32_t s = 0; s < shards; ++s) {
-        runtime->shard_producers_.push_back(runtime->cluster_->MakeProducer(s));
-      }
-    }
-    nic_side = runtime->cluster_.get();
-  } else {
-    auto nic = FeNic::Create(runtime->compiled_, cfg.nic, runtime->forwarding_.get());
-    if (!nic.ok()) {
-      return nic.status();
-    }
-    runtime->nic_ = std::move(nic).value();
-    if (runtime->metrics_ != nullptr) {
-      FeNicObs nic_obs = FeNicObs::Create(runtime->metrics_.get(), 0, cfg.obs.profile);
-      nic_obs.flush_packets = cfg.obs.batch_packets;
-      runtime->nic_->set_obs(nic_obs);
-    }
-    nic_side = runtime->nic_.get();
-    if (runtime->trace_clock_ != nullptr) {
-      // Interpose the serial service/e2e measurement between MGPV and the
-      // NIC (the cluster does this itself in the parallel path). The shim's
-      // hot tier is single-owner, so it only batches when one replay thread
-      // feeds it; sharded serial mode (shards > 1, workers == 0) shares the
-      // shim across replay threads and keeps the direct atomic observes.
-      runtime->serial_latency_ = std::make_unique<SerialLatencySink>(
-          nic_side, runtime->trace_clock_.get(),
-          runtime->metrics_->GetLatencyHistogram(
-              "superfe_latency_worker_service_ns", {},
-              "Trace-time elapsed while a NIC worker processed one report"),
-          runtime->metrics_->GetLatencyHistogram(
-              "superfe_latency_e2e_ns", {},
-              "First packet ingest to feature emit, end to end (trace-time ns)"),
-          shards == 1 ? runtime->metrics_.get() : nullptr, cfg.obs.batch_packets);
-      nic_side = runtime->serial_latency_.get();
-    }
+  // The NIC side is always a NicCluster: worker_threads members on worker
+  // threads, or, at worker_threads == 0, one member dispatched inline on the
+  // replay thread (the serial reference). Inline dispatch records the
+  // service and end-to-end latency itself; failover and flush-time
+  // abandonment live in the cluster for both modes.
+  NicClusterOptions options = cfg.cluster;
+  options.parallel = cfg.worker_threads > 0;
+  options.pin_threads = options.pin_threads || cfg.pin_threads;
+  options.metrics = runtime->metrics_.get();
+  options.trace = runtime->trace_.get();
+  options.trace_lane_base = 0;
+  options.worker_lane_base = shards;  // == historical base+1 when shards==1.
+  options.latency_clock = runtime->trace_clock_.get();
+  options.injector = runtime->injector_.get();
+  options.profile = cfg.obs.profile;
+  options.obs_batch_packets = cfg.obs.batch_packets;
+  if (cfg.fault.flush_timeout_ms > 0) {
+    options.flush_timeout_ms = cfg.fault.flush_timeout_ms;
   }
+  if (cfg.fault.watchdog_interval_ms > 0) {
+    options.watchdog_interval_ms = cfg.fault.watchdog_interval_ms;
+    options.watchdog_timeout_ms = cfg.fault.watchdog_timeout_ms;
+  }
+  auto cluster = NicCluster::Create(runtime->compiled_, cfg.nic,
+                                    std::max<uint32_t>(cfg.worker_threads, 1),
+                                    runtime->forwarding_.get(), options);
+  if (!cluster.ok()) {
+    return cluster.status();
+  }
+  runtime->cluster_ = std::move(cluster).value();
   if (shards > 1) {
     // Each shard feeds its own cluster producer handle, or — with
-    // worker_threads == 0 — the shared serial NIC side (FeNic locks
-    // internally; the latency shim's observations are wait-free).
-    std::vector<MgpvSink*> sinks(shards, nic_side);
-    for (size_t s = 0; s < runtime->shard_producers_.size(); ++s) {
-      sinks[s] = runtime->shard_producers_[s].get();
+    // worker_threads == 0 — the cluster's inline dispatch directly (it
+    // locks per member NIC; its latency observations are wait-free).
+    std::vector<MgpvSink*> sinks(shards, runtime->cluster_.get());
+    if (cfg.worker_threads > 0) {
+      for (uint32_t s = 0; s < shards; ++s) {
+        // Each handle emits on its own producer trace lane; the cluster's
+        // built-in default producer stays unused.
+        runtime->shard_producers_.push_back(runtime->cluster_->MakeProducer(s));
+        sinks[s] = runtime->shard_producers_.back().get();
+      }
     }
     ShardedSwitchOptions sw_options;
     sw_options.metrics = runtime->metrics_.get();
@@ -304,7 +214,8 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
       runtime->shard_replay_obs_.push_back(o);
     }
   } else {
-    runtime->switch_ = std::make_unique<FeSwitch>(runtime->compiled_, nic_side, cfg.mgpv);
+    runtime->switch_ =
+        std::make_unique<FeSwitch>(runtime->compiled_, runtime->cluster_.get(), cfg.mgpv);
     if (runtime->injector_ != nullptr) {
       runtime->switch_->mutable_cache().set_fault(runtime->injector_.get(), /*shard=*/0);
     }
@@ -348,11 +259,7 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
     obs::TelemetryOptions topt;
     topt.port = static_cast<uint16_t>(cfg.obs.telemetry_port);
     SuperFeRuntime* rt = runtime.get();
-    topt.pre_scrape = [rt] {
-      if (rt->cluster_ != nullptr) {
-        rt->cluster_->UpdateObsGauges();
-      }
-    };
+    topt.pre_scrape = [rt] { rt->cluster_->UpdateObsGauges(); };
     topt.write_metrics = [rt](std::ostream& os) { rt->metrics_->WriteProm(os); };
     topt.write_status = [rt](std::ostream& os) { rt->WriteStatusJson(os); };
     topt.health = runtime->health_.get();
@@ -366,10 +273,6 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
   return runtime;
 }
 
-NicPerfModel SuperFeRuntime::NicPerf() const {
-  return cluster_ != nullptr ? cluster_->MergedPerf() : nic_->perf();
-}
-
 SuperFeRuntime::SuperFeRuntime(CompiledPolicy compiled, const RuntimeConfig& config)
     : compiled_(std::move(compiled)),
       config_(config),
@@ -378,9 +281,8 @@ SuperFeRuntime::SuperFeRuntime(CompiledPolicy compiled, const RuntimeConfig& con
 
 SuperFeRuntime::~SuperFeRuntime() = default;
 
-void SuperFeRuntime::SetSinkTarget(FeatureSink* sink) { forwarding_->set_target(sink); }
-
-void SuperFeRuntime::BeginRunTelemetry() {
+void SuperFeRuntime::BeginRun(FeatureSink* sink) {
+  forwarding_->set_target(sink);
   run_active_.store(true, std::memory_order_relaxed);
   run_start_unix_ms_.store(
       static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -389,82 +291,66 @@ void SuperFeRuntime::BeginRunTelemetry() {
       std::memory_order_relaxed);
   sampler_.reset();  // A re-Run restarts the time series.
   if (metrics_ != nullptr && config_.obs.sample_interval_ms > 0) {
-    std::function<void()> hook;
-    if (cluster_ != nullptr || window_ != nullptr) {
-      hook = [this] {
-        if (cluster_ != nullptr) {
-          cluster_->UpdateObsGauges();
+    std::function<void()> hook = [this] {
+      cluster_->UpdateObsGauges();
+      if (window_ != nullptr) {
+        // One telemetry epoch per capture: the window rates refresh and
+        // the health machine sees the epoch's fault/watchdog totals.
+        // Stop() takes a final post-flush capture, so the last epoch is
+        // guaranteed to see the exact quiescent totals.
+        window_->Tick(SteadyNowNs());
+        if (health_ != nullptr) {
+          const obs::RollingWindow::Totals t = window_->LatestTotals();
+          health_->Update({t.fault_events, t.watchdog_stalls}, t.t_ns);
         }
-        if (window_ != nullptr) {
-          // One telemetry epoch per capture: the window rates refresh and
-          // the health machine sees the epoch's fault/watchdog totals.
-          // Stop() takes a final post-flush capture, so the last epoch is
-          // guaranteed to see the exact quiescent totals.
-          window_->Tick(SteadyNowNs());
-          if (health_ != nullptr) {
-            const obs::RollingWindow::Totals t = window_->LatestTotals();
-            health_->Update({t.fault_events, t.watchdog_stalls}, t.t_ns);
-          }
-        }
-      };
-    }
+      }
+    };
     sampler_ = std::make_unique<obs::SnapshotSampler>(
         metrics_.get(), config_.obs.sample_interval_ms, std::move(hook));
     sampler_->Start();
   }
 }
 
-void SuperFeRuntime::ResolveFaultTriggers(const Trace* trace) {
+void SuperFeRuntime::ResolveFaultTriggers(const LoopedTrace& axis) {
   if (injector_ == nullptr) {
     return;
   }
-  if (trace == nullptr || trace->packets().empty()) {
+  if (axis.trace == nullptr || axis.trace->packets().empty()) {
     // No packet axis to resolve against: packet-indexed triggers never fire
     // (ResolvePacketTriggers(0, ...) marks them all unreachable).
     injector_->ResolvePacketTriggers(0, [](uint64_t) { return uint64_t{0}; });
   } else {
     // Resolve at_packet triggers to trace time with the replayer's own
-    // arithmetic (post-speedup, replica-interleaved), so packet-count and
-    // trace-time trigger points live on one deterministic axis.
-    const auto& packets = trace->packets();
-    const uint32_t amp = std::max<uint32_t>(config_.replay.amplification, 1);
+    // arithmetic (loop-shifted, post-speedup, replica-interleaved), so
+    // packet-count and trace-time trigger points live on one deterministic
+    // axis. Packet id -> (loop, packet, replica) over loops of n·amp ids.
+    const auto& packets = axis.trace->packets();
+    const uint64_t amp = std::max<uint32_t>(config_.replay.amplification, 1);
     const double speedup = config_.replay.speedup > 0.0 ? config_.replay.speedup : 1.0;
     const uint64_t base_ts = packets.front().timestamp_ns;
-    injector_->ResolvePacketTriggers(
-        static_cast<uint64_t>(packets.size()) * amp, [&](uint64_t id) {
-          const uint64_t scaled = static_cast<uint64_t>(
-              static_cast<double>(packets[id / amp].timestamp_ns - base_ts) / speedup);
-          return scaled + (id % amp) * 8;
-        });
+    const uint64_t period = LoopedTraceSource::PeriodNs(*axis.trace);
+    const uint64_t loop_ids = static_cast<uint64_t>(packets.size()) * amp;
+    const uint64_t stream_ids = axis.loops == 0 || axis.loops > UINT64_MAX / loop_ids
+                                    ? UINT64_MAX  // Endless (or past any count).
+                                    : loop_ids * axis.loops;
+    injector_->ResolvePacketTriggers(stream_ids, [&](uint64_t id) {
+      const uint64_t loop = id / loop_ids;
+      const uint64_t in_loop = id % loop_ids;
+      const uint64_t ts = packets[in_loop / amp].timestamp_ns + loop * period;
+      const uint64_t scaled = static_cast<uint64_t>(static_cast<double>(ts - base_ts) / speedup);
+      return scaled + (in_loop % amp) * 8;
+    });
   }
-  injector_->BeginRun(
-      static_cast<uint32_t>(cluster_ != nullptr ? cluster_->size() : 1));
+  injector_->BeginRun(static_cast<uint32_t>(cluster_->size()));
 }
 
 RunReport SuperFeRuntime::Run(const Trace& trace, FeatureSink* sink) {
-  SetSinkTarget(sink);
-  BeginRunTelemetry();
-  ResolveFaultTriggers(&trace);
-  ReplayReport offered;
-  if (sharded_ != nullptr) {
-    std::vector<PacketSink*> sinks;
-    std::vector<const ReplayObs*> shard_obs;
-    sinks.reserve(sharded_->size());
-    shard_obs.reserve(shard_replay_obs_.size());
-    for (size_t s = 0; s < sharded_->size(); ++s) {
-      sinks.push_back(&sharded_->shard(s));
-    }
-    for (const ReplayObs& o : shard_replay_obs_) {
-      shard_obs.push_back(&o);
-    }
-    offered =
-        ParallelReplay(trace, config_.replay, sinks, shard_obs,
-                       [this](const PacketRecord& pkt) { return sharded_->ShardOf(pkt); });
-  } else {
-    offered = Replay(trace, config_.replay, *switch_);
-  }
-  const Status flush_status = FlushPipeline();
-  return FinishRun(offered, flush_status);
+  LoopedTraceSource source(&trace, 1);
+  DaemonConfig once;
+  once.epoch_packets = 0;  // One epoch: the final flush.
+  once.epoch_wall_ms = 0;
+  once.fault_trigger_trace = &trace;
+  return RunDaemon(source, sink, once).run;
 }
 
 Status SuperFeRuntime::FlushPipeline() {
@@ -476,22 +362,13 @@ Status SuperFeRuntime::FlushPipeline() {
   } else {
     switch_->Flush();
   }
-  Status flush_status = Status::Ok();
-  if (cluster_ != nullptr) {
-    // Barrier: every queue drained, every member flushed (or, with a fault
-    // injector, dead members' residual state abandoned). A deadline hit is
-    // reported in RunReport::fault, not fatal — workers keep draining and
-    // the destructor completes the join.
-    flush_status = cluster_->FlushWithDeadline(cluster_->options().flush_timeout_ms);
-    cluster_->UpdateObsGauges();
-  } else {
-    nic_->Flush();
-  }
-  if (serial_latency_ != nullptr) {
-    // Fold the shim's buffered latency deltas before the sampler's final
-    // capture and the post-run breakdown read.
-    serial_latency_->FlushObs();
-  }
+  // Barrier: every queue drained, every member flushed (or, with a fault
+  // injector, dead members' residual state abandoned). A deadline hit is
+  // reported in RunReport::fault, not fatal — workers keep draining and
+  // the destructor completes the join.
+  const Status flush_status =
+      cluster_->FlushWithDeadline(cluster_->options().flush_timeout_ms);
+  cluster_->UpdateObsGauges();
   return flush_status;
 }
 
@@ -519,16 +396,14 @@ RunReport SuperFeRuntime::FinishRun(const ReplayReport& offered,
       sharded_ != nullptr ? sharded_->AggregateSwitchStats() : switch_->stats();
   report.mgpv =
       sharded_ != nullptr ? sharded_->AggregateMgpvStats() : switch_->cache().stats();
-  report.nic = cluster_ != nullptr ? cluster_->AggregateStats() : nic_->stats();
+  report.nic = cluster_->AggregateStats();
   report.fault.enabled = injector_ != nullptr;
   if (injector_ != nullptr) {
     report.fault.stats = injector_->Snapshot();
     report.fault.cells_processed = report.nic.cells;
     uint64_t overflow = 0;
-    if (cluster_ != nullptr) {
-      for (size_t i = 0; i < cluster_->size(); ++i) {
-        overflow += cluster_->worker_stats(i).cells_dropped;
-      }
+    for (size_t i = 0; i < cluster_->size(); ++i) {
+      overflow += cluster_->worker_stats(i).cells_dropped;
     }
     report.fault.overflow_cells_dropped = overflow;
     report.fault.flush_deadline_exceeded = !flush_status.ok();
@@ -541,7 +416,7 @@ RunReport SuperFeRuntime::FinishRun(const ReplayReport& offered,
                             fs.injected_pool_exhaustions > 0 ||
                             report.fault.flush_deadline_exceeded;
   }
-  if (cluster_ != nullptr) {
+  if (config_.worker_threads > 0) {
     report.cluster_cost = cluster_->CostReport(config_.nic.group_table_indices,
                                                config_.nic.group_table_width);
   }
@@ -557,7 +432,7 @@ RunReport SuperFeRuntime::FinishRun(const ReplayReport& offered,
 
   // Per-limit diagnostics at the configured core count.
   const double nic_pps =
-      std::min(NicPerf().ThroughputPps(config_.nic_cores), config_.nic_ingest_mpps * 1e6);
+      std::min(cluster_->MergedPerf().ThroughputPps(config_.nic_cores), config_.nic_ingest_mpps * 1e6);
   report.nic_limited_gbps =
       report.filter_pass_fraction > 0.0
           ? nic_pps / report.filter_pass_fraction * report.avg_packet_bytes * 8.0 * 1e-9
@@ -656,7 +531,7 @@ RunReport::LatencyBreakdown SuperFeRuntime::BuildLatencyBreakdown() const {
   b.mgpv_residency = residency_total.Summarize();
 
   obs::LatencyHistogram::Snapshot queue_wait_total;
-  const size_t workers = cluster_ != nullptr ? cluster_->size() : 0;
+  const size_t workers = config_.worker_threads > 0 ? cluster_->size() : 0;
   for (size_t i = 0; i < workers; ++i) {
     obs::LatencyHistogram* h = metrics_->GetLatencyHistogram(
         "superfe_latency_queue_wait_ns", {{"worker", std::to_string(i)}});
@@ -679,7 +554,7 @@ RunReport::LatencyBreakdown SuperFeRuntime::BuildLatencyBreakdown() const {
 
   // Table-5-style attribution: split the measured service stage by where
   // the modeled NIC cycles went.
-  const NicCycleBreakdown cycles = NicPerf().breakdown();
+  const NicCycleBreakdown cycles = cluster_->MergedPerf().breakdown();
   const uint64_t total = cycles.Total();
   const auto share = [total](const char* family, uint64_t c) {
     RunReport::ServiceShare s;
@@ -702,7 +577,7 @@ double SuperFeRuntime::SustainableGbps(const RunReport& report, uint32_t cores) 
   // ingest ceiling), mapped back to offered traffic (cells = filtered
   // packets).
   const double nic_pps =
-      std::min(NicPerf().ThroughputPps(cores), config_.nic_ingest_mpps * 1e6);
+      std::min(cluster_->MergedPerf().ThroughputPps(cores), config_.nic_ingest_mpps * 1e6);
   double nic_limited = 0.0;
   if (report.filter_pass_fraction > 0.0) {
     nic_limited = nic_pps / report.filter_pass_fraction * report.avg_packet_bytes * 8.0 * 1e-9;
@@ -748,9 +623,7 @@ bool SuperFeRuntime::WriteStatusJson(std::ostream& out) const {
   if (metrics_ == nullptr) {
     return false;
   }
-  if (cluster_ != nullptr) {
-    cluster_->UpdateObsGauges();  // Queue-depth gauges read below.
-  }
+  cluster_->UpdateObsGauges();  // Queue-depth gauges read below.
   // One registry pass, summed across labels per family. Mid-run these are
   // the batch-flushed live totals (within one hot-tier batch of exact); at
   // quiescence they equal the RunReport exactly.
@@ -829,7 +702,7 @@ bool SuperFeRuntime::WriteStatusJson(std::ostream& out) const {
 
   writer.Key("queues");
   writer.BeginArray();
-  if (cluster_ != nullptr) {
+  if (config_.worker_threads > 0) {  // Inline dispatch has no queues.
     for (size_t i = 0; i < cluster_->size(); ++i) {
       const obs::LabelSet worker = {{"worker", std::to_string(i)}};
       writer.BeginObject();

@@ -50,12 +50,12 @@ struct RuntimeConfig {
   // packet-engine front end can accept regardless of core count).
   double nic_ingest_mpps = 60.0;
 
-  // Host-side execution parallelism for the replay itself. 0 runs the
-  // reference serial path (one FeNic on the caller's thread, unchanged).
-  // N > 0 runs a NicCluster of N members, one worker thread each, with
-  // switch-hash load balancing (§8.5) — wall-clock scales with cores while
-  // the feature multiset stays identical for a given routing. Lossless by
-  // default (cluster.drop_on_overflow = false).
+  // Host-side NIC parallelism. The NIC side is always a NicCluster with
+  // switch-hash load balancing (§8.5). 0 runs the serial reference: one
+  // member dispatched inline on the replay thread. N > 0 runs N members,
+  // one worker thread each — wall-clock scales with cores while the feature
+  // multiset stays identical for a given routing. Lossless by default
+  // (cluster.drop_on_overflow = false).
   uint32_t worker_threads = 0;
   // Tuning for the parallel pipeline; `parallel` is implied by
   // worker_threads > 0 and ignored here.
@@ -155,7 +155,8 @@ struct RunReport {
   FeSwitchStats switch_stats;
   MgpvStats mgpv;
   FeNicStats nic;
-  // Cluster-aware cost accounting (worker_threads > 0 only; else disabled):
+  // Cluster-aware cost accounting (worker_threads > 0 only; else disabled,
+  // fault plan or not):
   // per-member DRAM-detour and load-imbalance deltas vs the single-NIC
   // model, for Fig 9/16-style sweeps that quote cluster numbers.
   ClusterCostReport cluster_cost;
@@ -265,7 +266,8 @@ struct DaemonEpoch {
 // Knobs for SuperFeRuntime::RunDaemon. Epoch rotation is an accounting
 // boundary, not a flush: MGPV/NIC state carries across it, so the
 // concatenation of per-epoch feature exports is byte-identical (as a sorted
-// multiset) to a one-shot Run() over the same stream.
+// multiset) to a run without rotation over the same stream — which is what
+// Run() is (epoch_packets = epoch_wall_ms = 0).
 struct DaemonConfig {
   // Ingest granularity: packets pulled from the PacketSource per chunk.
   size_t chunk_packets = 8192;
@@ -291,11 +293,13 @@ struct DaemonConfig {
   size_t shed_backlog_chunks = 0;
   // Streaming-replay queue bound (chunks in flight per shard).
   size_t max_chunks_in_flight = 4;
-  // Trace used to resolve at_packet/at_ms fault triggers with the replayer's
-  // arithmetic (pass the first loop of a looped source so trigger times match
-  // a one-shot run exactly). Null = triggers resolve against an empty trace
-  // and packet-indexed triggers never fire.
-  const Trace* fault_trigger_trace = nullptr;
+  // The packet axis at_packet fault triggers resolve against, with the
+  // replayer's arithmetic: the looped stream the source emits (trace and
+  // loop count, as given to its LoopedTraceSource; 0 loops = unbounded).
+  // A trigger in loop l resolves to loop l's shifted timestamps, so a plan
+  // bites at the same trace time as in a run over the materialized stream.
+  // No trace (socket ingest) = packet-indexed triggers never fire.
+  LoopedTrace fault_trigger_trace;
   // Called synchronously on the ingest thread as each epoch closes (e.g. to
   // rotate the feature-CSV file). The pipeline is quiescent during the call.
   std::function<void(const DaemonEpoch&)> on_epoch;
@@ -322,17 +326,18 @@ class SuperFeRuntime {
                                                         const RuntimeConfig& config);
   ~SuperFeRuntime();  // Out of line: ForwardingSink is incomplete here.
 
-  // Replays the trace through switch + NIC, flushes both, reports. `sink`
-  // sees one call at a time, unless it offers member sinks
-  // (FeatureSink::MemberSink): then each parallel cluster member emits into
-  // its own, concurrently.
+  // Replays the trace through switch + NIC, flushes both, reports: the
+  // run loop below over a one-loop LoopedTraceSource, without rotation.
+  // `sink` sees one call at a time, unless it offers member sinks
+  // (FeatureSink::MemberSink): then each cluster member emits into its own,
+  // concurrently across parallel members.
   RunReport Run(const Trace& trace, FeatureSink* sink);
 
-  // Continuous-operation mode (docs/ROBUSTNESS.md, "Daemon mode"): pulls
-  // chunks from `source` until it ends, a limit hits, or `daemon.stop` is
-  // raised; closes rolling epochs at packet-count/wall-time boundaries with
-  // an exact drain barrier at each one; then flushes and drains exactly like
-  // Run(). Features flow to `sink` throughout (swap files per epoch via
+  // The run loop (docs/ROBUSTNESS.md, "Daemon mode"): pulls chunks from
+  // `source` until it ends, a limit hits, or `daemon.stop` is raised;
+  // closes rolling epochs at packet-count/wall-time boundaries (if any)
+  // with an exact drain barrier at each one; then flushes the pipeline and
+  // reports. Features flow to `sink` throughout (swap files per epoch via
   // daemon.on_epoch). Call FinishTelemetry() afterwards to wind down the
   // sampler/telemetry plane in order.
   DaemonReport RunDaemon(PacketSource& source, FeatureSink* sink,
@@ -354,10 +359,11 @@ class SuperFeRuntime {
 
   const CompiledPolicy& compiled() const { return compiled_; }
   const RuntimeConfig& config() const { return config_; }
-  // Serial mode: the single FeNic. Parallel mode: the cluster's first
-  // member (placement/plan are identical across members).
-  const FeNic& nic() const { return cluster_ != nullptr ? cluster_->nic(0) : *nic_; }
-  // Non-null only when config.worker_threads > 0.
+  // The cluster's first member (placement/plan are identical across
+  // members; serially it is the only one).
+  const FeNic& nic() const { return cluster_->nic(0); }
+  // Never null: max(worker_threads, 1) members, threaded iff
+  // worker_threads > 0.
   const NicCluster* cluster() const { return cluster_.get(); }
   // Single-switch mode: the switch. Sharded mode: shard 0 (all shards share
   // program/config; per-shard stats differ — use sharded_switch()).
@@ -407,24 +413,21 @@ class SuperFeRuntime {
   bool WriteSamplesJson(std::ostream& out) const;
 
  private:
-  class SerialLatencySink;
-
   SuperFeRuntime(CompiledPolicy compiled, const RuntimeConfig& config);
 
-  // Run()/RunDaemon() share one lifecycle, decomposed so the daemon can put
-  // epoch boundaries between ingest and the final flush while keeping the
-  // exact one-shot ordering (core/daemon.cc holds the daemon loop):
-  //   SetSinkTarget -> BeginRunTelemetry -> ResolveFaultTriggers ->
-  //   [replay] -> FlushPipeline -> FinishRun.
-  void SetSinkTarget(FeatureSink* sink);
-  void BeginRunTelemetry();
-  // Resolves at_packet fault triggers against `trace` with the replayer's
-  // own arithmetic; null or empty = packet triggers never fire. No-op
-  // without an injector; always calls BeginRun when armed.
-  void ResolveFaultTriggers(const Trace* trace);
-  // End-of-run flush: switch caches, producers, then the NIC side (cluster
-  // flush barrier with deadline, or serial FeNic::Flush), then the serial
-  // latency shim. Returns the barrier status (deadline miss = not-ok).
+  // The run loop's lifecycle (core/daemon.cc holds the loop itself):
+  //   BeginRun -> ResolveFaultTriggers -> [streamed replay with epoch
+  //   fences] -> FlushPipeline -> FinishRun.
+  // Points the NIC side at `sink` and starts the run's telemetry.
+  void BeginRun(FeatureSink* sink);
+  // Resolves at_packet fault triggers over `axis` with the replayer's own
+  // arithmetic; no trace or an empty one = packet triggers never fire.
+  // No-op without an injector; always calls FaultInjector::BeginRun when
+  // armed.
+  void ResolveFaultTriggers(const LoopedTrace& axis);
+  // End-of-run flush: switch caches, producers, then the cluster flush
+  // barrier with deadline. Returns the barrier status (deadline miss =
+  // not-ok).
   Status FlushPipeline();
   // Stops the sampler, detaches the sink, and builds the full RunReport
   // from the quiescent pipeline (including health OnRunComplete).
@@ -438,10 +441,6 @@ class SuperFeRuntime {
   // config, start time) emitted by both WriteMetricsJson and /status.
   void WriteRunBlockJson(JsonWriter& writer) const;
 
-  // Accounted NIC work for throughput modeling: the serial NIC's model, or
-  // the sum over cluster members (identical totals for the same stream).
-  NicPerfModel NicPerf() const;
-
   CompiledPolicy compiled_;
   RuntimeConfig config_;
   // Obs objects precede the pipeline members so handles outlive their users.
@@ -453,20 +452,16 @@ class SuperFeRuntime {
   std::unique_ptr<FaultInjector> injector_;
   ReplayObs replay_obs_;
   std::vector<ReplayObs> shard_replay_obs_;  // One per shard; sharded mode.
-  std::unique_ptr<FeNic> nic_;          // Serial path; must outlive switch_.
-  std::unique_ptr<NicCluster> cluster_;  // Parallel path; must outlive switch_.
+  std::unique_ptr<NicCluster> cluster_;  // The NIC side; must outlive switch_.
   // Per-shard feeding handles into the cluster (sharded + parallel mode);
   // declared after cluster_ so Close()-on-destroy still sees it alive.
   std::vector<std::unique_ptr<NicCluster::Producer>> shard_producers_;
-  // Serial-path latency shim between MGPV and the FeNic (obs.latency with
-  // worker_threads == 0); must outlive switch_, which holds a pointer.
-  std::unique_ptr<SerialLatencySink> serial_latency_;
   std::unique_ptr<FeSwitch> switch_;          // switch_shards == 1.
   std::unique_ptr<ShardedFeSwitch> sharded_;  // switch_shards > 1.
 
   // Internal forwarding sink: the NIC side is built once at Create, and
-  // SetSinkTarget points it (and its per-member forwarders) at each run's
-  // user sink.
+  // each run points it (and its per-member forwarders) at the run's user
+  // sink.
   class ForwardingSink;
   std::unique_ptr<ForwardingSink> forwarding_;
 

@@ -1,13 +1,12 @@
-// Pluggable packet ingest for daemon mode.
+// Pluggable packet ingest for the run loop (one-shot and daemon).
 //
-// One-shot replay reads a whole Trace up front; a daemon instead pulls
-// bounded chunks from a PacketSource and feeds them to the streaming
-// replayer, so memory stays bounded and the source can be something other
-// than a file. Three sources ship: TraceSource (the current pcap/generator
-// path, chunked), LoopedTraceSource (replays the trace N times or forever —
-// the soak workload), and SocketSource (a loopback TCP/UDP listener carrying
-// length-prefixed wire frames plus capture metadata, reusing
-// src/common/socket.*).
+// Every run — one-shot or daemon — pulls bounded chunks from a PacketSource
+// and feeds them to the streaming replayer, so memory stays bounded and the
+// source can be something other than a file. Two sources ship:
+// LoopedTraceSource (a loaded pcap/generated trace, chunked, replayed once,
+// N times, or forever — the soak workload) and SocketSource (a loopback
+// TCP/UDP listener carrying length-prefixed wire frames plus capture
+// metadata, reusing src/common/socket.*).
 //
 // The contract is pull-based and non-blocking-ish: NextChunk() returns
 //   kChunk — `out` holds 1..max_packets records (appended, in arrival order)
@@ -58,24 +57,19 @@ class PacketSource {
   virtual void RequestStop() {}
 };
 
-// Chunked cursor over an in-memory Trace — the existing pcap/generator path
-// behind the PacketSource interface.
-class TraceSource : public PacketSource {
- public:
-  explicit TraceSource(const Trace* trace) : trace_(trace) {}
-
-  Next NextChunk(std::vector<PacketRecord>* out, size_t max_packets) override;
-  const IngestStats& stats() const override { return stats_; }
-  void RequestStop() override { stop_.store(true, std::memory_order_relaxed); }
-
- private:
-  const Trace* trace_;
-  size_t cursor_ = 0;
-  std::atomic<bool> stop_{false};
-  IngestStats stats_;
+// `loops` back-to-back copies of `trace` (0 = endlessly many), copy l
+// shifted by l × LoopedTraceSource::PeriodNs(*trace): the packet stream a
+// LoopedTraceSource emits, as an index space. Implicit from a bare Trace*,
+// which names one copy.
+struct LoopedTrace {
+  LoopedTrace(const Trace* trace = nullptr, uint64_t loops = 1)  // NOLINT(google-explicit-constructor)
+      : trace(trace), loops(loops) {}
+  const Trace* trace;
+  uint64_t loops;
 };
 
-// Replays `trace` `loops` times (0 = until RequestStop), shifting loop l's
+// Chunked cursor over an in-memory Trace: replays it `loops` times (1 = the
+// plain one-shot stream; 0 = until RequestStop), shifting loop l's
 // timestamps by l × PeriodNs(trace) so the stream stays time-ordered with a
 // one-mean-gap seam between passes. Chunks never span a loop boundary.
 class LoopedTraceSource : public PacketSource {
@@ -91,7 +85,8 @@ class LoopedTraceSource : public PacketSource {
   static uint64_t PeriodNs(const Trace& trace);
 
   // The exact packet stream this source emits for `loops` passes, as one
-  // Trace — what one-shot runs replay to byte-compare against daemon epochs.
+  // Trace. A test and benchmark oracle: the runtime streams loops from one
+  // copy and never calls it.
   static Trace Materialize(const Trace& trace, uint64_t loops);
 
  private:

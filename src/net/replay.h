@@ -6,14 +6,17 @@
 // replicating each packet `amplification` times with rewritten source
 // addresses and interleaved timestamps.
 //
-// StreamingReplay scales the driver without a serial prefix: the feeder
-// thread CG-hash-partitions one bounded chunk at a time into per-shard work
-// queues while shard threads replay previously queued chunks. Because the
-// partition is by group and each shard's queue is FIFO in feed order, every
-// shard preserves the per-group packet order of the serial replay, and the
-// emitted records are bit-identical to the serial path (both are built by
-// the same replica constructor). ParallelReplay() is the one-shot wrapper:
-// it feeds a whole trace through a StreamingReplay in fixed-size chunks.
+// StreamingReplay is the one replayer the runtime uses, one-shot and daemon
+// alike: the feeder thread CG-hash-partitions one bounded chunk at a time
+// into per-shard work queues while shard threads replay previously queued
+// chunks. Because the partition is by group and each shard's queue is FIFO
+// in feed order, every shard preserves the per-group packet order of the
+// serial replay, and the emitted records are bit-identical to the serial
+// path (both are built by the same replica constructor).
+//
+// Replay() and ParallelReplay() replay a whole in-memory trace. The runtime
+// calls neither: they stay as the oracles tests and the layer benchmark
+// compare the streaming path against.
 #ifndef SUPERFE_NET_REPLAY_H_
 #define SUPERFE_NET_REPLAY_H_
 
@@ -92,7 +95,7 @@ struct ReplayOptions {
   // Optional observability wiring (not owned; must outlive the replay).
   const ReplayObs* obs = nullptr;
 
-  // Pin each ParallelReplay shard thread to logical CPU (shard % CpuCount)
+  // Pin each replay shard thread to logical CPU (shard % CpuCount)
   // — the same slot the NIC cluster pins worker threads to, keeping a
   // shard's producer and its preferred members co-resident. Best-effort:
   // no-op (with one logged warning) where pinning is unsupported. Ignored
@@ -118,7 +121,8 @@ struct ReplayReport {
   void FinalizeRates();
 };
 
-// Replays `trace` into `sink`; returns offered-load accounting.
+// Replays `trace` into `sink` on the caller's thread; returns offered-load
+// accounting. The serial oracle (see the file comment).
 ReplayReport Replay(const Trace& trace, const ReplayOptions& options, PacketSink& sink);
 
 // Bounded-memory chunked streaming replay across N shard threads.
@@ -205,7 +209,8 @@ class StreamingReplay {
 };
 
 // Replays `trace` into sinks.size() shards, one thread per shard, by
-// feeding the whole trace through a StreamingReplay in fixed-size chunks.
+// feeding the whole trace through a StreamingReplay in fixed-size chunks —
+// the whole-trace oracle for the sharded streaming path.
 // `shard_of` maps a fully-formed replica record to its shard (must return
 // values in [0, sinks.size()) and be pure — it is called once per record
 // during chunk partitioning). `shard_obs` is either empty or one entry per

@@ -321,7 +321,7 @@ TEST(CsvExportTest, DaemonEpochFilesHoldTheirOwnRowsAndConcatenateToOneShot) {
   DaemonConfig daemon;
   daemon.chunk_packets = 1000;
   daemon.epoch_packets = 2500;
-  daemon.fault_trigger_trace = &trace;
+  daemon.fault_trigger_trace = LoopedTrace(&trace, loops);
   daemon.on_epoch = [&](const DaemonEpoch& e) {
     files_ok = sink.Drain() && files_ok;
     if (!e.final_epoch) {

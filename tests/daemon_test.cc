@@ -86,7 +86,7 @@ DaemonReport RunDaemonOnce(const Policy& policy, const RuntimeConfig& config,
   LoopedTraceSource source(&trace, loops);
   CollectingFeatureSink sink;
   DaemonConfig daemon = daemon_in;
-  daemon.fault_trigger_trace = &trace;
+  daemon.fault_trigger_trace = LoopedTrace(&trace, loops);
   const DaemonReport report = (*runtime)->RunDaemon(source, &sink, daemon);
   if (vectors_out != nullptr) {
     *vectors_out = SortedMultiset(sink.vectors());
@@ -227,6 +227,46 @@ TEST(DaemonEpochTest, RolloverExactnessUnderCrashFaultPlan) {
   }
 }
 
+TEST(DaemonEpochTest, CrashInSecondLoopFiresAsInMaterializedRun) {
+  // at_packet counts over the whole looped stream: a trigger in loop 2 must
+  // fire where it fires in a run over the materialized stream, not be
+  // dropped as past the end of the one in-memory copy.
+  const Trace trace = GenerateTrace(EnterpriseProfile(), 12000, 31);
+  auto policy = ParsePolicy("daemon", kFlowStatsPolicy);
+  ASSERT_TRUE(policy.ok());
+  const uint64_t loops = 2;
+  const std::string plan =
+      "crash member=1 at_packet=" + std::to_string(trace.size() * 3 / 2) + " detect_ms=2";
+
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const RuntimeConfig config = MakeConfig(shards, 4, plan);
+    RunReport oneshot;
+    const std::vector<VectorKey> oracle =
+        OneShotOracle(*policy, config, trace, loops, &oneshot);
+    ASSERT_GT(oneshot.fault.stats.members_crashed, 0u);
+    ASSERT_GT(oneshot.fault.stats.reports_failed_over, 0u);
+
+    DaemonConfig daemon;
+    daemon.chunk_packets = 1000;
+    daemon.epoch_packets = 5000;
+    std::vector<VectorKey> got;
+    const DaemonReport report = RunDaemonOnce(*policy, config, trace, loops, daemon, &got);
+    EXPECT_EQ(got, oracle);
+    EXPECT_TRUE(report.all_epochs_reconciled);
+    EXPECT_TRUE(report.drained);
+    const FaultStats& want = oneshot.fault.stats;
+    const FaultStats& fs = report.run.fault.stats;
+    EXPECT_EQ(fs.cells_offered, want.cells_offered);
+    EXPECT_EQ(fs.cells_lost_to_failover, want.cells_lost_to_failover);
+    EXPECT_EQ(fs.cells_shed, want.cells_shed);
+    EXPECT_EQ(fs.reports_failed_over, want.reports_failed_over);
+    EXPECT_EQ(fs.groups_failed_over, want.groups_failed_over);
+    EXPECT_EQ(fs.members_crashed, want.members_crashed);
+    EXPECT_EQ(fs.groups_abandoned, want.groups_abandoned);
+  }
+}
+
 TEST(DaemonDrainTest, SignalMidRunDrainsCleanly) {
   const Trace trace = GenerateTrace(EnterpriseProfile(), 6000, 37);
   auto policy = ParsePolicy("daemon", kFlowStatsPolicy);
@@ -249,7 +289,7 @@ TEST(DaemonDrainTest, SignalMidRunDrainsCleanly) {
   daemon.chunk_packets = 500;
   daemon.epoch_packets = 3000;
   daemon.stop = &stop;
-  daemon.fault_trigger_trace = &trace;
+  daemon.fault_trigger_trace = LoopedTrace(&trace, /*loops=*/0);
   const DaemonReport report = (*runtime)->RunDaemon(source, &sink, daemon);
   killer.join();
 
@@ -281,7 +321,7 @@ TEST(DaemonEpochTest, MaxEpochsAndTimeRotationBound) {
   daemon.chunk_packets = 400;
   daemon.epoch_packets = 800;
   daemon.max_epochs = 3;  // Rotated epochs; the final flush epoch is extra.
-  daemon.fault_trigger_trace = &trace;
+  daemon.fault_trigger_trace = LoopedTrace(&trace, /*loops=*/0);
   const DaemonReport report = (*runtime)->RunDaemon(source, &sink, daemon);
   EXPECT_EQ(report.epochs.size(), 4u);
   EXPECT_FALSE(report.stopped_by_signal);

@@ -279,9 +279,10 @@ TEST(LatencyRuntimeTest, SmallerAgingThresholdShortensAgingTail) {
 }
 
 TEST(LatencyRuntimeTest, SerialEndToEndEqualsResidency) {
-  // With no cluster there is no queue and the trace clock cannot advance
-  // mid-report: queue wait is unobserved, service is 0 trace-time ns, and
-  // every end-to-end measurement equals the report's residency exactly.
+  // Serial dispatch is inline on the replay thread (a one-member cluster
+  // with no worker): there is no queue and the trace clock cannot advance
+  // mid-report, so queue wait is unobserved, service is 0 trace-time ns,
+  // and every end-to-end measurement equals the report's residency exactly.
   const Trace trace = GenerateTrace(CampusProfile(), 20000, 3);
   const RunReport report = RunWithLatency(trace, /*workers=*/0,
                                           /*aging_ns=*/10'000'000);

@@ -418,6 +418,12 @@ TEST(ObsRuntimeTest, SerialModeMatchesToo) {
             report.nic.vectors_emitted);
   EXPECT_EQ(metrics->Value("superfe_switch_packets_seen_total").value_or(-1),
             report.switch_stats.packets_seen);
+  // Inline dispatch has no worker queues: no cluster gauges, and /status
+  // lists no queues.
+  EXPECT_FALSE(metrics->Value("superfe_cluster_queue_depth", {{"worker", "0"}}).has_value());
+  std::ostringstream status;
+  ASSERT_TRUE((*runtime)->WriteStatusJson(status));
+  EXPECT_NE(status.str().find("\"queues\": []"), std::string::npos) << status.str();
 }
 
 }  // namespace

@@ -120,14 +120,25 @@ TEST(ParallelClusterTest, RuntimeWorkerThreadsMatchSerialReference) {
   ASSERT_TRUE(serial_rt.ok()) << serial_rt.status().ToString();
   CollectingFeatureSink serial_sink;
   const RunReport serial_report = (*serial_rt)->Run(trace, &serial_sink);
+  // One topology: serial is a one-member cluster dispatched inline, whose
+  // member is nic(); no threaded cluster means no cluster cost report.
+  const NicCluster* serial_cluster = (*serial_rt)->cluster();
+  ASSERT_NE(serial_cluster, nullptr);
+  EXPECT_EQ(serial_cluster->size(), 1u);
+  EXPECT_FALSE(serial_cluster->options().parallel);
+  EXPECT_EQ(&(*serial_rt)->nic(), &serial_cluster->nic(0));
+  EXPECT_FALSE(serial_report.cluster_cost.enabled);
 
   RuntimeConfig parallel_config;
   parallel_config.worker_threads = 4;
   auto parallel_rt = SuperFeRuntime::Create(*policy, parallel_config);
   ASSERT_TRUE(parallel_rt.ok()) << parallel_rt.status().ToString();
   ASSERT_NE((*parallel_rt)->cluster(), nullptr);
+  EXPECT_EQ((*parallel_rt)->cluster()->size(), 4u);
+  EXPECT_TRUE((*parallel_rt)->cluster()->options().parallel);
   CollectingFeatureSink parallel_sink;
   const RunReport parallel_report = (*parallel_rt)->Run(trace, &parallel_sink);
+  EXPECT_TRUE(parallel_report.cluster_cost.enabled);
 
   EXPECT_EQ(SortedMultiset(serial_sink.vectors()), SortedMultiset(parallel_sink.vectors()));
   EXPECT_EQ(serial_report.nic.cells, parallel_report.nic.cells);

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <sstream>
 
 #include "common/stats.h"
+#include "core/csv_export.h"
 #include "core/runtime.h"
 #include "core/software_extractor.h"
+#include "net/replay.h"
 #include "net/trace_gen.h"
+#include "nicsim/fe_nic.h"
 #include "policy/parser.h"
+#include "switchsim/fe_switch.h"
 
 namespace superfe {
 namespace {
@@ -41,6 +47,52 @@ TEST(RuntimeTest, EndToEndProducesVectors) {
   const uint64_t flows = trace.ComputeStats().flow_count;
   EXPECT_EQ(sink.vectors().size(), flows);
   EXPECT_GT(report.sustainable_gbps, 0.0);
+}
+
+// Formats every vector it sees as one CSV row, in arrival order.
+class CsvRowSink : public FeatureSink {
+ public:
+  void OnFeatureVector(FeatureVector&& vector) override { AppendCsvRow(&rows, vector); }
+  std::string rows;
+};
+
+TEST(RuntimeTest, SerialRunMatchesHandWiredReplayFeSwitchFeNic) {
+  // The documented serial oracle: Replay -> FeSwitch -> FeNic wired by
+  // hand, with no cluster, streaming replay or run loop in between. The
+  // runtime's serial path (an inline one-member NicCluster fed by the run
+  // loop) must emit the same rows in the same order for every example
+  // policy.
+  const Trace trace = GenerateTrace(CampusProfile(), 30000, 1);
+  for (const char* name :
+       {"basic_stats", "channel_stats", "direction_seq", "frequency", "multi_granularity"}) {
+    SCOPED_TRACE(name);
+    std::ifstream in(std::string(SUPERFE_EXAMPLE_POLICIES) + "/" + name + ".sfe");
+    ASSERT_TRUE(in);
+    std::stringstream text;
+    text << in.rdbuf();
+    auto policy = ParsePolicy(name, text.str());
+    ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+
+    const RuntimeConfig config;
+    auto compiled = Compile(*policy);
+    ASSERT_TRUE(compiled.ok());
+    CsvRowSink oracle;
+    auto nic = FeNic::Create(*compiled, config.nic, &oracle);
+    ASSERT_TRUE(nic.ok());
+    FeSwitch fe_switch(*compiled, nic->get(), config.mgpv);
+    Replay(trace, config.replay, fe_switch);
+    fe_switch.Flush();
+    (*nic)->Flush();
+
+    auto runtime = SuperFeRuntime::Create(*policy, config);
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+    CsvRowSink serial;
+    const RunReport report = (*runtime)->Run(trace, &serial);
+    EXPECT_GT(report.nic.vectors_emitted, 0u);
+    EXPECT_EQ(report.nic.vectors_emitted, (*nic)->stats().vectors_emitted);
+    EXPECT_TRUE(serial.rows == oracle.rows)
+        << serial.rows.size() << " bytes vs " << oracle.rows.size();
+  }
 }
 
 TEST(RuntimeTest, ExactFeaturesMatchSoftwareBaseline) {

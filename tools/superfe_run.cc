@@ -1,6 +1,8 @@
 // superfe_run: run a SuperFE policy over traffic (a pcap file or a synthetic
 // profile) through the simulated switch+NIC pipeline and write the feature
-// vectors as CSV.
+// vectors as CSV. Every run streams its source through the one run loop
+// (SuperFeRuntime::RunDaemon); --daemon adds epoch rotation, run limits,
+// ingest shedding and the SIGTERM/SIGINT drain.
 //
 //   superfe_run POLICY.sfe [--pcap FILE | --profile mawi|enterprise|campus]
 //               [--packets N] [--seed S] [--out FEATURES.csv] [--report]
@@ -25,8 +27,8 @@
 //   4  unreadable trace (pcap open/decode failure)
 //   5  degraded completion (a fault plan ran and the pipeline shed/lost/
 //      abandoned work or missed a flush deadline — outputs are still the
-//      exact reconciled remainder; in daemon mode also an epoch that failed
-//      reconciliation or a drain that missed its deadline)
+//      exact reconciled remainder; also an epoch that failed reconciliation
+//      or a drain that missed its deadline)
 //   6  daemon clean drain on signal (SIGTERM/SIGINT arrived, ingest stopped,
 //      every epoch reconciled, and the final flush met its deadline — the
 //      documented graceful-shutdown success code)
@@ -88,11 +90,12 @@ int Usage() {
                "                                          the SoA batch feature kernels)\n"
                "                   [--compensated-batch]  Neumaier-compensated batch sums\n"
                "                                          for double-valued reducers\n"
-               "                   [--daemon]             continuous operation: streaming\n"
-               "                                          ingest + rolling MGPV epochs +\n"
-               "                                          SIGTERM/SIGINT graceful drain\n"
-               "                   [--loop N]             replay the trace N times (0 with\n"
-               "                                          --daemon = until stopped)\n"
+               "                   [--daemon]             continuous operation: rolling MGPV\n"
+               "                                          epochs + SIGTERM/SIGINT graceful\n"
+               "                                          drain\n"
+               "                   [--loop N]             stream the trace N times from one\n"
+               "                                          copy (0 with --daemon = until\n"
+               "                                          stopped)\n"
                "                   [--listen tcp:P|udp:P] daemon ingest from a loopback\n"
                "                                          socket instead of the trace\n"
                "                                          (0 = ephemeral port)\n"
@@ -333,6 +336,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--listen requires --daemon\n");
     return Usage();
   }
+  if (!daemon_mode) {
+    // One-shot is the same run loop with a single epoch, closed by the
+    // final flush: no rotation, limits, shedding or per-epoch files.
+    epoch_packets = epoch_ms = max_seconds = max_epochs = drain_timeout_ms = 0;
+    shed_after = 0;
+    epoch_dir.clear();
+  }
 
   std::ifstream in(policy_path);
   if (!in) {
@@ -375,12 +385,6 @@ int main(int argc, char** argv) {
       return kExitInvalidConfig;
     }
     trace = GenerateTrace(profile, packets, seed);
-  }
-  if (!daemon_mode && loop > 1) {
-    // One-shot looped replay: materialize the exact stream a daemon's
-    // LoopedTraceSource produces over `loop` loops — the byte-identity
-    // oracle for daemon epoch exports (CI's daemon smoke diffs the two).
-    trace = LoopedTraceSource::Materialize(trace, loop);
   }
 
   RuntimeConfig config;
@@ -436,6 +440,114 @@ int main(int argc, char** argv) {
     std::fflush(stderr);
   }
 
+  // Ingest: a loopback socket (--listen), or the loaded trace streamed
+  // `loop` times from its one in-memory copy.
+  std::unique_ptr<PacketSource> source;
+  LoopedTrace trigger_axis;  // Socket ingest has no packet axis up front.
+  if (!listen_spec.empty()) {
+    SocketSourceOptions sopt;
+    const size_t colon = listen_spec.find(':');
+    const std::string proto =
+        colon == std::string::npos ? listen_spec : listen_spec.substr(0, colon);
+    if (proto == "udp") {
+      sopt.udp = true;
+    } else if (proto != "tcp") {
+      std::fprintf(stderr, "bad --listen spec '%s' (want tcp:PORT or udp:PORT)\n",
+                   listen_spec.c_str());
+      return kExitInvalidConfig;
+    }
+    if (colon != std::string::npos) {
+      sopt.port =
+          static_cast<uint16_t>(std::strtoul(listen_spec.c_str() + colon + 1, nullptr, 10));
+    }
+    auto opened = SocketSource::Open(sopt);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "listen error: %s\n", opened.status().ToString().c_str());
+      return kExitInvalidConfig;
+    }
+    // Scripts parse this line to find an ephemeral port; keep it stable.
+    std::fprintf(stderr, "ingest: listening on 127.0.0.1:%u (%s)\n", (*opened)->port(),
+                 sopt.udp ? "udp" : "tcp");
+    std::fflush(stderr);
+    source = std::move(opened).value();
+  } else {
+    source = std::make_unique<LoopedTraceSource>(&trace, loop);
+    trigger_axis = LoopedTrace(&trace, loop);
+  }
+  if (daemon_mode) {
+    std::signal(SIGTERM, StopHandler);
+    std::signal(SIGINT, StopHandler);
+  }
+
+  std::ofstream file;
+  std::ostream* out = &std::cout;
+  std::unique_ptr<CsvSink> csv;
+  RotatingCsvSink* rotating = nullptr;  // csv, when --epoch-dir is set.
+  std::ofstream jsonl;
+  bool csv_ok = true;
+  const auto epoch_path = [&](uint64_t index) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "epoch_%05llu.csv", (unsigned long long)index);
+    return epoch_dir + "/" + name;
+  };
+  if (!epoch_dir.empty()) {
+    auto epoch_sink = std::make_unique<RotatingCsvSink>((*runtime)->compiled().nic_program);
+    rotating = epoch_sink.get();
+    csv = std::move(epoch_sink);
+    if (!rotating->OpenEpochFile(epoch_path(1))) {
+      std::fprintf(stderr, "cannot write %s\n", epoch_path(1).c_str());
+      return kExitExportFailure;
+    }
+    jsonl.open(epoch_dir + "/epochs.jsonl");
+    if (!jsonl) {
+      std::fprintf(stderr, "cannot write %s/epochs.jsonl\n", epoch_dir.c_str());
+      return kExitExportFailure;
+    }
+  } else {
+    if (!out_path.empty()) {
+      file.open(out_path);
+      if (!file) {
+        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        return kExitExportFailure;
+      }
+      out = &file;
+    }
+    csv = std::make_unique<CsvSink>(out, (*runtime)->compiled().nic_program);
+  }
+
+  DaemonConfig dcfg;
+  dcfg.chunk_packets = chunk_packets;
+  dcfg.epoch_packets = epoch_packets;
+  dcfg.epoch_wall_ms = epoch_ms;
+  dcfg.max_seconds = max_seconds;
+  dcfg.max_epochs = max_epochs;
+  dcfg.stop = &g_stop;  // Only the --daemon signal handlers raise it.
+  dcfg.drain_timeout_ms = drain_timeout_ms;
+  dcfg.shed_backlog_chunks = shed_after;
+  dcfg.fault_trigger_trace = trigger_axis;
+  dcfg.on_epoch = [&](const DaemonEpoch& e) {
+    if (jsonl.is_open()) {
+      WriteEpochJsonl(jsonl, e);
+      jsonl.flush();  // A soak supervisor tails this between epochs.
+    }
+    // The epoch's drain barrier (or the final flush) has parked every
+    // worker, so the member chunks hold exactly this epoch's remaining
+    // rows: write them out before the next epoch's file opens.
+    csv_ok = csv->Drain() && csv_ok;
+    if (rotating != nullptr && !e.final_epoch) {
+      csv_ok = rotating->OpenEpochFile(epoch_path(e.index + 1)) && csv_ok;
+    }
+  };
+
+  const DaemonReport d = (*runtime)->RunDaemon(*source, csv.get(), dcfg);
+  const RunReport& run = d.run;
+
+  if (!csv_ok) {
+    const std::string what = !epoch_dir.empty() ? epoch_dir + "/epoch_*.csv"
+                             : !out_path.empty() ? out_path
+                                                 : "stdout";
+    std::fprintf(stderr, "cannot write %s\n", what.c_str());
+  }
   const auto write_export = [&](const std::string& path, auto writer_fn) -> bool {
     if (path.empty()) {
       return true;
@@ -447,133 +559,20 @@ int main(int argc, char** argv) {
     }
     return true;
   };
-  const auto write_obs_exports = [&]() -> bool {
-    bool ok = true;
-    ok &= write_export(metrics_json_path, [&](std::ostream& os) {
-      return (*runtime)->WriteMetricsJson(os);
-    });
-    ok &= write_export(metrics_prom_path, [&](std::ostream& os) {
-      return (*runtime)->WriteMetricsProm(os);
-    });
-    ok &= write_export(trace_out_path, [&](std::ostream& os) {
-      return (*runtime)->WriteTraceJson(os);
-    });
-    ok &= write_export(samples_out_path, [&](std::ostream& os) {
-      return (*runtime)->WriteSamplesJson(os);
-    });
-    return ok;
-  };
-
+  bool exports_ok = csv_ok;
+  exports_ok &= write_export(metrics_json_path, [&](std::ostream& os) {
+    return (*runtime)->WriteMetricsJson(os);
+  });
+  exports_ok &= write_export(metrics_prom_path, [&](std::ostream& os) {
+    return (*runtime)->WriteMetricsProm(os);
+  });
+  exports_ok &= write_export(trace_out_path, [&](std::ostream& os) {
+    return (*runtime)->WriteTraceJson(os);
+  });
+  exports_ok &= write_export(samples_out_path, [&](std::ostream& os) {
+    return (*runtime)->WriteSamplesJson(os);
+  });
   if (daemon_mode) {
-    // ---- Continuous-operation mode (docs/ROBUSTNESS.md, "Daemon mode") ----
-    std::unique_ptr<PacketSource> source;
-    bool socket_ingest = false;
-    if (!listen_spec.empty()) {
-      SocketSourceOptions sopt;
-      const size_t colon = listen_spec.find(':');
-      const std::string proto =
-          colon == std::string::npos ? listen_spec : listen_spec.substr(0, colon);
-      if (proto == "udp") {
-        sopt.udp = true;
-      } else if (proto != "tcp") {
-        std::fprintf(stderr, "bad --listen spec '%s' (want tcp:PORT or udp:PORT)\n",
-                     listen_spec.c_str());
-        return kExitInvalidConfig;
-      }
-      if (colon != std::string::npos) {
-        sopt.port = static_cast<uint16_t>(
-            std::strtoul(listen_spec.c_str() + colon + 1, nullptr, 10));
-      }
-      auto opened = SocketSource::Open(sopt);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "listen error: %s\n", opened.status().ToString().c_str());
-        return kExitInvalidConfig;
-      }
-      // Scripts parse this line to find an ephemeral port; keep it stable.
-      std::fprintf(stderr, "ingest: listening on 127.0.0.1:%u (%s)\n",
-                   (*opened)->port(), sopt.udp ? "udp" : "tcp");
-      std::fflush(stderr);
-      socket_ingest = true;
-      source = std::move(opened).value();
-    } else {
-      source = std::make_unique<LoopedTraceSource>(&trace, loop);
-    }
-    std::signal(SIGTERM, StopHandler);
-    std::signal(SIGINT, StopHandler);
-
-    std::ofstream file;
-    std::ostream* out = &std::cout;
-    std::unique_ptr<CsvSink> csv;
-    RotatingCsvSink* rotating = nullptr;  // csv, when --epoch-dir is set.
-    std::ofstream jsonl;
-    bool csv_ok = true;
-    const auto epoch_path = [&](uint64_t index) {
-      char name[32];
-      std::snprintf(name, sizeof(name), "epoch_%05llu.csv", (unsigned long long)index);
-      return epoch_dir + "/" + name;
-    };
-    if (!epoch_dir.empty()) {
-      auto epoch_sink = std::make_unique<RotatingCsvSink>((*runtime)->compiled().nic_program);
-      rotating = epoch_sink.get();
-      csv = std::move(epoch_sink);
-      if (!rotating->OpenEpochFile(epoch_path(1))) {
-        std::fprintf(stderr, "cannot write %s\n", epoch_path(1).c_str());
-        return kExitExportFailure;
-      }
-      jsonl.open(epoch_dir + "/epochs.jsonl");
-      if (!jsonl) {
-        std::fprintf(stderr, "cannot write %s/epochs.jsonl\n", epoch_dir.c_str());
-        return kExitExportFailure;
-      }
-    } else {
-      if (!out_path.empty()) {
-        file.open(out_path);
-        if (!file) {
-          std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-          return kExitExportFailure;
-        }
-        out = &file;
-      }
-      csv = std::make_unique<CsvSink>(out, (*runtime)->compiled().nic_program);
-    }
-
-    DaemonConfig dcfg;
-    dcfg.chunk_packets = chunk_packets;
-    dcfg.epoch_packets = epoch_packets;
-    dcfg.epoch_wall_ms = epoch_ms;
-    dcfg.max_seconds = max_seconds;
-    dcfg.max_epochs = max_epochs;
-    dcfg.stop = &g_stop;
-    dcfg.drain_timeout_ms = drain_timeout_ms;
-    dcfg.shed_backlog_chunks = shed_after;
-    // Socket ingest has no packet axis known up front; trace-backed ingest
-    // resolves at_packet fault triggers against the first loop, exactly as
-    // a one-shot run over the same trace would.
-    dcfg.fault_trigger_trace = socket_ingest ? nullptr : &trace;
-    dcfg.on_epoch = [&](const DaemonEpoch& e) {
-      if (jsonl.is_open()) {
-        WriteEpochJsonl(jsonl, e);
-        jsonl.flush();  // A soak supervisor tails this between epochs.
-      }
-      // The epoch's drain barrier has parked every worker, so the member
-      // chunks hold exactly this epoch's remaining rows: write them out
-      // before the next epoch's file opens.
-      csv_ok = csv->Drain() && csv_ok;
-      if (rotating != nullptr && !e.final_epoch) {
-        csv_ok = rotating->OpenEpochFile(epoch_path(e.index + 1)) && csv_ok;
-      }
-    };
-
-    const DaemonReport d = (*runtime)->RunDaemon(*source, csv.get(), dcfg);
-
-    if (!csv_ok) {
-      const std::string what = !epoch_dir.empty() ? epoch_dir + "/epoch_*.csv"
-                               : !out_path.empty() ? out_path
-                                                   : "stdout";
-      std::fprintf(stderr, "cannot write %s\n", what.c_str());
-    }
-    const bool exports_ok = write_obs_exports() && csv_ok;
-    const uint64_t vectors = csv->count();
     std::fprintf(stderr,
                  "daemon: %zu epochs (%s) | ingested %llu packets (shed %llu) | "
                  "replayed %llu | %llu vectors | %.0f ms\n",
@@ -581,69 +580,9 @@ int main(int argc, char** argv) {
                  d.all_epochs_reconciled ? "all reconciled" : "RECONCILIATION FAILED",
                  (unsigned long long)d.packets_ingested,
                  (unsigned long long)d.packets_shed_ingest,
-                 (unsigned long long)d.run.offered.packets, (unsigned long long)vectors,
+                 (unsigned long long)run.offered.packets, (unsigned long long)csv->count(),
                  d.wall_ms);
-    if (d.run.fault.enabled) {
-      const FaultStats& fs = d.run.fault.stats;
-      std::fprintf(stderr,
-                   "daemon fault: offered %llu = processed %llu + shed %llu + lost "
-                   "%llu + overflow %llu -> %s\n",
-                   (unsigned long long)fs.cells_offered,
-                   (unsigned long long)d.run.fault.cells_processed,
-                   (unsigned long long)fs.cells_shed,
-                   (unsigned long long)fs.cells_lost_to_failover,
-                   (unsigned long long)d.run.fault.overflow_cells_dropped,
-                   d.run.fault.reconciled ? "reconciled" : "NOT RECONCILED");
-    }
-    if (d.stopped_by_signal) {
-      std::fprintf(stderr, "daemon: signal %d -> %s drain\n", d.signal,
-                   d.drained ? "clean" : "FAILED");
-    }
-    if (telemetry_linger_ms > 0 && (*runtime)->telemetry() != nullptr) {
-      std::fprintf(stderr, "telemetry: lingering %llu ms before exit\n",
-                   (unsigned long long)telemetry_linger_ms);
-      std::fflush(stderr);
-    }
-    // Explicit drain-then-linger shutdown: the sampler and telemetry server
-    // outlive the final epoch flush and stop here, in order, not via the
-    // runtime destructor chain.
-    (*runtime)->FinishTelemetry(telemetry_linger_ms);
-    if (!exports_ok) {
-      return kExitExportFailure;
-    }
-    if (!d.drained || !d.all_epochs_reconciled) {
-      return kExitDegraded;
-    }
-    if (d.stopped_by_signal) {
-      // Clean signal-initiated drain: distinct from both success (the run
-      // was cut short) and degradation (nothing was lost). Takes precedence
-      // over per-epoch fault marks — a chaos soak that drains cleanly and
-      // reconciles every epoch exits 6, not 5.
-      return kExitDrained;
-    }
-    return d.run.fault.enabled && d.run.fault.degraded ? kExitDegraded : 0;
   }
-
-  std::ofstream file;
-  std::ostream* out = &std::cout;
-  if (!out_path.empty()) {
-    file.open(out_path);
-    if (!file) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return kExitExportFailure;
-    }
-    out = &file;
-  }
-  CsvSink sink(out, (*runtime)->compiled().nic_program);
-  const RunReport run = (*runtime)->Run(trace, &sink);
-  // Run's final barrier has parked every worker: the member chunks are
-  // complete and go out now, then the stream is flushed and checked.
-  const bool csv_ok = sink.Drain();
-  if (!csv_ok) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.empty() ? "stdout" : out_path.c_str());
-  }
-  const bool exports_ok = write_obs_exports() && csv_ok;
-
   if (report || !out_path.empty()) {
     std::fprintf(stderr,
                  "packets %llu | batched %llu | reports %llu | vectors %llu\n"
@@ -652,7 +591,7 @@ int main(int argc, char** argv) {
                  (unsigned long long)run.switch_stats.packets_seen,
                  (unsigned long long)run.switch_stats.packets_batched,
                  (unsigned long long)run.mgpv.reports_out,
-                 (unsigned long long)sink.count(), run.mgpv.MessageRatio() * 100.0,
+                 (unsigned long long)csv->count(), run.mgpv.MessageRatio() * 100.0,
                  run.mgpv.ByteRatio() * 100.0, run.sustainable_gbps, run.bottleneck);
     if (switch_shards > 1) {
       std::fprintf(stderr, "switch shards: %u (parallel replay)\n",
@@ -711,6 +650,10 @@ int main(int argc, char** argv) {
                  (unsigned long long)fs.watchdog_stall_events,
                  run.fault.flush_deadline_exceeded ? "EXCEEDED" : "met");
   }
+  if (d.stopped_by_signal) {
+    std::fprintf(stderr, "daemon: signal %d -> %s drain\n", d.signal,
+                 d.drained ? "clean" : "FAILED");
+  }
   if (telemetry_linger_ms > 0 && (*runtime)->telemetry() != nullptr) {
     // Exports are written and the pipeline is quiescent: a scrape taken in
     // this window is byte-identical to the --metrics-prom file (the CI
@@ -724,6 +667,16 @@ int main(int argc, char** argv) {
   (*runtime)->FinishTelemetry(telemetry_linger_ms);
   if (!exports_ok) {
     return kExitExportFailure;
+  }
+  if (!d.drained || !d.all_epochs_reconciled) {
+    return kExitDegraded;
+  }
+  if (d.stopped_by_signal) {
+    // Clean signal-initiated drain: distinct from both success (the run
+    // was cut short) and degradation (nothing was lost). Takes precedence
+    // over per-epoch fault marks — a chaos soak that drains cleanly and
+    // reconciles every epoch exits 6, not 5.
+    return kExitDrained;
   }
   return run.fault.enabled && run.fault.degraded ? kExitDegraded : 0;
 }
