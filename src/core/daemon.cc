@@ -70,23 +70,14 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
 
   std::vector<PacketSink*> sinks;
   std::vector<const ReplayObs*> shard_obs;
-  std::function<uint32_t(const PacketRecord&)> shard_of;
-  if (sharded_ != nullptr) {
-    sinks.reserve(sharded_->size());
-    for (size_t s = 0; s < sharded_->size(); ++s) {
-      sinks.push_back(&sharded_->shard(s));
-    }
-    for (const ReplayObs& o : shard_replay_obs_) {
-      shard_obs.push_back(&o);
-    }
-    shard_of = [this](const PacketRecord& pkt) { return sharded_->ShardOf(pkt); };
-  } else {
-    sinks.push_back(switch_.get());
-    shard_obs.push_back(config_.replay.obs);
-    shard_of = [](const PacketRecord&) { return 0u; };
+  for (size_t s = 0; s < sharded_->size(); ++s) {
+    sinks.push_back(&sharded_->shard(s));
+    shard_obs.push_back(&shard_replay_obs_[s]);
   }
-  StreamingReplay stream(config_.replay, sinks, shard_obs, shard_of,
-                         std::max<size_t>(daemon.max_chunks_in_flight, 1));
+  StreamingReplay stream(
+      config_.replay, sinks, shard_obs,
+      [this](const PacketRecord& pkt) { return sharded_->ShardOf(pkt); },
+      std::max<size_t>(daemon.max_chunks_in_flight, 1));
 
   // Everything this lambda reads is quiescent when it runs (WaitIdle +
   // producer close + drain barrier precede every call).
@@ -95,8 +86,7 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
     const ReplayReport r = stream.Report();
     t.packets = r.packets;
     t.bytes = r.bytes;
-    const MgpvStats mg =
-        sharded_ != nullptr ? sharded_->AggregateMgpvStats() : switch_->cache().stats();
+    const MgpvStats mg = sharded_->AggregateMgpvStats();
     const FeNicStats nic = cluster_->AggregateStats();
     t.cells_processed = nic.cells;
     t.vectors = nic.vectors_emitted;
@@ -185,14 +175,8 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
     const PipelineTotals now = snapshot();
     double occupancy = 0.0;
     uint64_t mgpv_epoch = 0;
-    if (sharded_ != nullptr) {
-      for (const MgpvEpochInfo& info : sharded_->RotateEpochs()) {
-        occupancy = std::max(occupancy, info.occupancy);
-        mgpv_epoch = info.epoch;
-      }
-    } else {
-      const MgpvEpochInfo info = switch_->RotateMgpvEpoch();
-      occupancy = info.occupancy;
+    for (const MgpvEpochInfo& info : sharded_->RotateEpochs()) {
+      occupancy = std::max(occupancy, info.occupancy);
       mgpv_epoch = info.epoch;
     }
     close_epoch(now, /*final_epoch=*/false, occupancy, mgpv_epoch);
@@ -269,8 +253,7 @@ DaemonReport SuperFeRuntime::RunDaemon(PacketSource& source, FeatureSink* sink,
   {
     const PipelineTotals now = snapshot();
     double occupancy = 0.0;  // Post-flush the caches are empty by contract.
-    const uint64_t mgpv_epoch =
-        (sharded_ != nullptr ? sharded_->shard(0) : *switch_).cache().epoch();
+    const uint64_t mgpv_epoch = sharded_->shard(0).cache().epoch();
     close_epoch(now, /*final_epoch=*/true, occupancy, mgpv_epoch);
   }
 

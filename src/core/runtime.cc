@@ -82,6 +82,12 @@ class SuperFeRuntime::ForwardingSink : public FeatureSink {
 
 Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& policy,
                                                                const RuntimeConfig& config) {
+  if (config.worker_threads > obs::TraceClock::kMaxLanes) {
+    // Checked before anything is built: each worker is a FeNic and a thread.
+    return Status::InvalidArgument("worker_threads " +
+                                   std::to_string(config.worker_threads) + " exceeds " +
+                                   std::to_string(obs::TraceClock::kMaxLanes));
+  }
   auto compiled = Compile(policy);
   if (!compiled.ok()) {
     return compiled.status();
@@ -130,13 +136,9 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
     const size_t lanes = shards + cfg.worker_threads;
     runtime->trace_ = std::make_unique<obs::TraceRecorder>(
         std::max<uint32_t>(cfg.obs.trace_capacity_per_lane, 16), lanes);
-    if (shards == 1) {
-      runtime->trace_->SetLaneName(0, "producer (replay+switch+mgpv)");
-    } else {
-      for (uint32_t s = 0; s < shards; ++s) {
-        runtime->trace_->SetLaneName(
-            s, "replay-shard-" + std::to_string(s) + " (replay+switch+mgpv)");
-      }
+    for (uint32_t s = 0; s < shards; ++s) {
+      runtime->trace_->SetLaneName(
+          s, "replay-shard-" + std::to_string(s) + " (replay+switch+mgpv)");
     }
     for (uint32_t i = 0; i < cfg.worker_threads; ++i) {
       runtime->trace_->SetLaneName(shards + i, "nic-worker-" + std::to_string(i));
@@ -154,7 +156,7 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
   options.metrics = runtime->metrics_.get();
   options.trace = runtime->trace_.get();
   options.trace_lane_base = 0;
-  options.worker_lane_base = shards;  // == historical base+1 when shards==1.
+  options.worker_lane_base = shards;
   options.latency_clock = runtime->trace_clock_.get();
   options.injector = runtime->injector_.get();
   options.profile = cfg.obs.profile;
@@ -173,70 +175,43 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
     return cluster.status();
   }
   runtime->cluster_ = std::move(cluster).value();
-  if (shards > 1) {
-    // Each shard feeds its own cluster producer handle, or — with
-    // worker_threads == 0 — the cluster's inline dispatch directly (it
-    // locks per member NIC; its latency observations are wait-free).
-    std::vector<MgpvSink*> sinks(shards, runtime->cluster_.get());
-    if (cfg.worker_threads > 0) {
-      for (uint32_t s = 0; s < shards; ++s) {
-        // Each handle emits on its own producer trace lane; the cluster's
-        // built-in default producer stays unused.
-        runtime->shard_producers_.push_back(runtime->cluster_->MakeProducer(s));
-        sinks[s] = runtime->shard_producers_.back().get();
-      }
-    }
-    ShardedSwitchOptions sw_options;
-    sw_options.metrics = runtime->metrics_.get();
-    sw_options.trace = runtime->trace_.get();
-    sw_options.trace_lane_base = 0;
-    sw_options.latency = cfg.obs.latency;
-    sw_options.injector = runtime->injector_.get();
-    sw_options.profile = cfg.obs.profile;
-    sw_options.obs_batch_packets = cfg.obs.batch_packets;
-    runtime->sharded_ = std::make_unique<ShardedFeSwitch>(runtime->compiled_, sinks,
-                                                          cfg.mgpv, sw_options);
-    runtime->shard_replay_obs_.reserve(shards);
+  // Each shard feeds its own cluster producer handle, or — with
+  // worker_threads == 0 — the cluster's inline dispatch directly (it locks
+  // per member NIC; its latency observations are wait-free).
+  std::vector<MgpvSink*> sinks(shards, runtime->cluster_.get());
+  if (cfg.worker_threads > 0) {
     for (uint32_t s = 0; s < shards; ++s) {
-      ReplayObs o =
-          ReplayObs::Create(runtime->metrics_.get(), runtime->trace_.get(), /*trace_lane=*/s);
-      o.clock = runtime->trace_clock_.get();
-      o.clock_lane = s;
-      o.injector = runtime->injector_.get();
-      o.fault_shard = s;
-      if (cfg.obs.telemetry_port >= 0) {
-        // Live scraping: flush replay counters often enough that the
-        // rolling window (spanning tens of ms) sees per-epoch movement —
-        // an 8192-packet chunk per shard can exceed a whole window's
-        // worth of traffic at moderate rates.
-        o.span_packets = 1024;
-      }
-      runtime->shard_replay_obs_.push_back(o);
+      // Each handle emits on its own producer trace lane; the cluster's
+      // built-in default producer stays unused.
+      runtime->shard_producers_.push_back(runtime->cluster_->MakeProducer(s));
+      sinks[s] = runtime->shard_producers_.back().get();
     }
-  } else {
-    runtime->switch_ =
-        std::make_unique<FeSwitch>(runtime->compiled_, runtime->cluster_.get(), cfg.mgpv);
-    if (runtime->injector_ != nullptr) {
-      runtime->switch_->mutable_cache().set_fault(runtime->injector_.get(), /*shard=*/0);
+  }
+  ShardedSwitchOptions sw_options;
+  sw_options.metrics = runtime->metrics_.get();
+  sw_options.trace = runtime->trace_.get();
+  sw_options.latency = cfg.obs.latency;
+  sw_options.injector = runtime->injector_.get();
+  sw_options.profile = cfg.obs.profile;
+  sw_options.obs_batch_packets = cfg.obs.batch_packets;
+  runtime->sharded_ =
+      std::make_unique<ShardedFeSwitch>(runtime->compiled_, sinks, cfg.mgpv, sw_options);
+  runtime->shard_replay_obs_.reserve(shards);
+  for (uint32_t s = 0; s < shards; ++s) {
+    ReplayObs o =
+        ReplayObs::Create(runtime->metrics_.get(), runtime->trace_.get(), /*trace_lane=*/s);
+    o.clock = runtime->trace_clock_.get();
+    o.clock_lane = s;
+    o.injector = runtime->injector_.get();
+    o.fault_shard = s;
+    if (cfg.obs.telemetry_port >= 0) {
+      // Live scraping: flush replay counters often enough that the rolling
+      // window (spanning tens of ms) sees per-epoch movement — an
+      // 8192-packet chunk per shard can exceed a whole window's worth of
+      // traffic at moderate rates.
+      o.span_packets = 1024;
     }
-    if (runtime->metrics_ != nullptr || runtime->trace_ != nullptr) {
-      FeSwitchObs sw_obs = FeSwitchObs::Create(runtime->metrics_.get());
-      sw_obs.flush_packets = cfg.obs.batch_packets;
-      runtime->switch_->set_obs(sw_obs);
-      MgpvObs mgpv_obs = MgpvObs::Create(runtime->metrics_.get(), runtime->trace_.get(),
-                                         /*trace_lane=*/0, cfg.obs.latency,
-                                         /*instance_labels=*/{}, cfg.obs.profile);
-      mgpv_obs.flush_packets = cfg.obs.batch_packets;
-      runtime->switch_->set_mgpv_obs(mgpv_obs);
-      runtime->replay_obs_ =
-          ReplayObs::Create(runtime->metrics_.get(), runtime->trace_.get(), /*trace_lane=*/0);
-      runtime->replay_obs_.clock = runtime->trace_clock_.get();
-      runtime->replay_obs_.injector = runtime->injector_.get();
-      if (cfg.obs.telemetry_port >= 0) {
-        runtime->replay_obs_.span_packets = 1024;  // See the sharded path.
-      }
-      runtime->config_.replay.obs = &runtime->replay_obs_;
-    }
+    runtime->shard_replay_obs_.push_back(o);
   }
 
   if (runtime->metrics_ != nullptr) {
@@ -354,13 +329,9 @@ RunReport SuperFeRuntime::Run(const Trace& trace, FeatureSink* sink) {
 }
 
 Status SuperFeRuntime::FlushPipeline() {
-  if (sharded_ != nullptr) {
-    sharded_->Flush();  // After join: replay threads are quiescent.
-    for (auto& producer : shard_producers_) {
-      producer->Close();  // Push staged batches before the cluster barrier.
-    }
-  } else {
-    switch_->Flush();
+  sharded_->Flush();  // After join: replay threads are quiescent.
+  for (auto& producer : shard_producers_) {
+    producer->Close();  // Push staged batches before the cluster barrier.
   }
   // Barrier: every queue drained, every member flushed (or, with a fault
   // injector, dead members' residual state abandoned). A deadline hit is
@@ -392,10 +363,8 @@ RunReport SuperFeRuntime::FinishRun(const ReplayReport& offered,
   }
 
   report.latency = BuildLatencyBreakdown();
-  report.switch_stats =
-      sharded_ != nullptr ? sharded_->AggregateSwitchStats() : switch_->stats();
-  report.mgpv =
-      sharded_ != nullptr ? sharded_->AggregateMgpvStats() : switch_->cache().stats();
+  report.switch_stats = sharded_->AggregateSwitchStats();
+  report.mgpv = sharded_->AggregateMgpvStats();
   report.nic = cluster_->AggregateStats();
   report.fault.enabled = injector_ != nullptr;
   if (injector_ != nullptr) {

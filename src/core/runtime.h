@@ -53,7 +53,8 @@ struct RuntimeConfig {
   // Host-side NIC parallelism. The NIC side is always a NicCluster with
   // switch-hash load balancing (§8.5). 0 runs the serial reference: one
   // member dispatched inline on the replay thread. N > 0 runs N members,
-  // one worker thread each — wall-clock scales with cores while the feature
+  // one worker thread each (at most obs::TraceClock::kMaxLanes; Create
+  // rejects more) — wall-clock scales with cores while the feature
   // multiset stays identical for a given routing. Lossless by default
   // (cluster.drop_on_overflow = false).
   uint32_t worker_threads = 0;
@@ -61,15 +62,14 @@ struct RuntimeConfig {
   // worker_threads > 0 and ignored here.
   NicClusterOptions cluster;
 
-  // Switch-side sharding: N > 1 runs a ShardedFeSwitch of N independent
-  // FE-Switch/MGPV pipes and a parallel replay driver — the trace is
-  // partitioned by CG hash up front and each shard replays on its own
-  // thread, so producer-side wall-clock scales with cores too. Per-group
-  // packet order is preserved (a group never spans shards), so the feature
-  // multiset is identical to the serial reference. 1 (default) keeps the
-  // exactly-unchanged single-switch path as the oracle. Composes with
+  // Switch-side sharding: the switch side is always a ShardedFeSwitch of N
+  // independent FE-Switch/MGPV pipes, each replayed on its own thread from
+  // the CG-hash-partitioned stream, so producer-side wall-clock scales with
+  // cores too. Per-group packet order is preserved (a group never spans
+  // shards), so the feature multiset is identical to the serial reference.
+  // 1 (default) is one shard: no hashing, unlabeled metrics. Composes with
   // worker_threads: each shard feeds the NIC cluster through its own
-  // producer handle. Clamped to obs::TraceClock::kMaxLanes.
+  // producer handle. Clamped to [1, obs::TraceClock::kMaxLanes].
   uint32_t switch_shards = 1;
 
   // CPU affinity for the parallel pipeline (--pin-threads): pin replay
@@ -365,13 +365,9 @@ class SuperFeRuntime {
   // Never null: max(worker_threads, 1) members, threaded iff
   // worker_threads > 0.
   const NicCluster* cluster() const { return cluster_.get(); }
-  // Single-switch mode: the switch. Sharded mode: shard 0 (all shards share
-  // program/config; per-shard stats differ — use sharded_switch()).
-  const FeSwitch& fe_switch() const {
-    return sharded_ != nullptr ? sharded_->shard(0) : *switch_;
-  }
-  // Non-null only when config.switch_shards > 1.
-  const ShardedFeSwitch* sharded_switch() const { return sharded_.get(); }
+  // Shard 0 of the switch side (all shards share program/config; at one
+  // shard it is the whole switch).
+  const FeSwitch& fe_switch() const { return sharded_->shard(0); }
 
   // Table 4 helpers.
   SwitchResourceUsage SwitchResources() const;
@@ -450,14 +446,13 @@ class SuperFeRuntime {
   std::unique_ptr<obs::TraceClock> trace_clock_;   // obs.latency only.
   // Fault injector precedes the pipeline members that hold hooks into it.
   std::unique_ptr<FaultInjector> injector_;
-  ReplayObs replay_obs_;
-  std::vector<ReplayObs> shard_replay_obs_;  // One per shard; sharded mode.
-  std::unique_ptr<NicCluster> cluster_;  // The NIC side; must outlive switch_.
-  // Per-shard feeding handles into the cluster (sharded + parallel mode);
-  // declared after cluster_ so Close()-on-destroy still sees it alive.
+  std::vector<ReplayObs> shard_replay_obs_;  // One per switch shard.
+  std::unique_ptr<NicCluster> cluster_;  // The NIC side; must outlive sharded_.
+  // Per-shard feeding handles into the cluster (parallel mode); declared
+  // after cluster_ so Close()-on-destroy still sees it alive.
   std::vector<std::unique_ptr<NicCluster::Producer>> shard_producers_;
-  std::unique_ptr<FeSwitch> switch_;          // switch_shards == 1.
-  std::unique_ptr<ShardedFeSwitch> sharded_;  // switch_shards > 1.
+  // The switch side, never null: config.switch_shards shards.
+  std::unique_ptr<ShardedFeSwitch> sharded_;
 
   // Internal forwarding sink: the NIC side is built once at Create, and
   // each run points it (and its per-member forwarders) at the run's user

@@ -92,7 +92,8 @@ struct ReplayOptions {
   // at a higher rate than the capture rate.
   double speedup = 1.0;
 
-  // Optional observability wiring (not owned; must outlive the replay).
+  // Optional observability wiring for Replay() (not owned; must outlive the
+  // replay). StreamingReplay takes one ReplayObs per shard instead.
   const ReplayObs* obs = nullptr;
 
   // Pin each replay shard thread to logical CPU (shard % CpuCount)

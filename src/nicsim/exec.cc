@@ -32,7 +32,7 @@ void LogHist::AddBatch(const double* v, size_t n) {
 }  // namespace exec_internal
 
 Reducer::Reducer(const ReduceSpec& spec, const ExecOptions& options, bool directional)
-    : spec_(spec), nic_(options.nic_arithmetic), compensated_(options.compensated_batch) {
+    : spec_(spec), nic_(options.nic_arithmetic) {
   const double lambda = spec.decay_lambda;
   const DampedMode mode = options.EffectiveDampedMode();
   // Directional tracking applies to damped 1D statistics only.
@@ -202,8 +202,7 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
         damped->AddBatch(values, t_seconds, n);
       } else {
         auto& agg = std::get<exec_internal::SumAgg>(impl_);
-        agg.sum += compensated_ ? batchkern::SumCompensated(values, n)
-                                : batchkern::Sum(values, n);
+        agg.sum += batchkern::Sum(values, n);
       }
       break;
     case ReduceFn::kMax: {
@@ -236,12 +235,12 @@ void Reducer::UpdateBatch(const double* values, const double* t_seconds,
       } else if (auto* nicw = std::get_if<NicWelfordStats>(&impl_)) {
         nicw->AddBatchRounded(values, n);
       } else {
-        std::get<WelfordStats>(impl_).AddBatch(values, n, compensated_);
+        std::get<WelfordStats>(impl_).AddBatch(values, n);
       }
       break;
     case ReduceFn::kKur:
     case ReduceFn::kSkew:
-      std::get<StreamingMoments>(impl_).AddBatch(values, n, compensated_);
+      std::get<StreamingMoments>(impl_).AddBatch(values, n);
       break;
     case ReduceFn::kMag:
     case ReduceFn::kRadius:

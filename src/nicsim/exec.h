@@ -31,12 +31,6 @@ struct ExecOptions {
   // double-precision (the standard feature definitions of Fig 10).
   bool nic_arithmetic = true;
 
-  // Neumaier-compensated summation inside the double-precision batch
-  // kernels (sum / Welford / moments chunk passes). Closes the documented
-  // ULP gap between batch and scalar summation order at scalar speed; the
-  // bit-exact integer/fixed-point kernels ignore it.
-  bool compensated_batch = false;
-
   // Explicit damped-window arithmetic override; unset derives it from
   // nic_arithmetic. kFloat32 reproduces the original Kitsune implementation
   // for the Fig 10 comparison.
@@ -111,7 +105,6 @@ class Reducer {
   ReduceSpec spec_;
   bool nic_ = true;
   bool directional_ = false;
-  bool compensated_ = false;
   std::variant<exec_internal::SumAgg, exec_internal::MinMaxAgg, WelfordStats, NicWelfordStats,
                DampedStats, StreamingMoments, DampedStats2D, HyperLogLog,
                exec_internal::ArrayAgg, FixedHistogram, exec_internal::LogHist>

@@ -13,8 +13,8 @@ class StreamingMoments {
   void Add(double x);
   // Bulk insert: two-pass chunk central powers merged with Pébay's order-4
   // formulas; ULP-level divergence from n scalar Adds (usually *more*
-  // accurate). `compensated` uses Neumaier summation for the chunk pass.
-  void AddBatch(const double* v, size_t n, bool compensated = false);
+  // accurate).
+  void AddBatch(const double* v, size_t n);
 
   uint64_t count() const { return n_; }
   double mean() const { return mean_; }

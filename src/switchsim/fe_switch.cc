@@ -4,10 +4,6 @@
 
 namespace superfe {
 
-FeSwitchObs FeSwitchObs::Create(obs::MetricsRegistry* registry) {
-  return Create(registry, {});
-}
-
 FeSwitchObs FeSwitchObs::Create(obs::MetricsRegistry* registry,
                                 const obs::LabelSet& instance_labels) {
   FeSwitchObs o;

@@ -36,7 +36,6 @@ struct FeSwitchObs {
   std::string block_name = "switch";
   uint32_t flush_packets = 4096;
 
-  static FeSwitchObs Create(obs::MetricsRegistry* registry);
   static FeSwitchObs Create(obs::MetricsRegistry* registry,
                             const obs::LabelSet& instance_labels);
 };

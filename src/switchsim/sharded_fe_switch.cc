@@ -12,13 +12,18 @@ ShardedFeSwitch::ShardedFeSwitch(const CompiledPolicy& compiled,
   shards_.reserve(shard_sinks.size());
   for (size_t s = 0; s < shard_sinks.size(); ++s) {
     auto sw = std::make_unique<FeSwitch>(compiled, shard_sinks[s], mgpv_overrides);
-    const obs::LabelSet shard_label = {{"shard", std::to_string(s)}};
+    // One shard is the unsharded switch: its series and obs blocks stay
+    // unlabeled ("switch", "mgpv").
+    obs::LabelSet shard_label;
+    if (shard_sinks.size() > 1) {
+      shard_label = {{"shard", std::to_string(s)}};
+    }
     FeSwitchObs sw_obs = FeSwitchObs::Create(options.metrics, shard_label);
     sw_obs.flush_packets = options.obs_batch_packets;
     sw->set_obs(sw_obs);
-    MgpvObs mgpv_obs = MgpvObs::Create(options.metrics, options.trace,
-                                       options.trace_lane_base + static_cast<uint32_t>(s),
-                                       options.latency, shard_label, options.profile);
+    MgpvObs mgpv_obs =
+        MgpvObs::Create(options.metrics, options.trace, /*trace_lane=*/static_cast<uint32_t>(s),
+                        options.latency, shard_label, options.profile);
     mgpv_obs.flush_packets = options.obs_batch_packets;
     sw->set_mgpv_obs(mgpv_obs);
     if (options.injector != nullptr) {
@@ -29,6 +34,9 @@ ShardedFeSwitch::ShardedFeSwitch(const CompiledPolicy& compiled,
 }
 
 uint32_t ShardedFeSwitch::ShardOf(const PacketRecord& pkt) const {
+  if (shards_.size() == 1) {
+    return 0;  // Skip the per-packet key derivation and CRC.
+  }
   return GroupKey::ForPacket(pkt, cg_).Hash() % static_cast<uint32_t>(shards_.size());
 }
 

@@ -20,10 +20,9 @@ namespace superfe {
 
 struct ShardedSwitchOptions {
   obs::MetricsRegistry* metrics = nullptr;
+  // Shard s records trace instants against trace lane s (one lane per
+  // producer thread).
   obs::TraceRecorder* trace = nullptr;
-  // Shard s records trace instants / residency clocks against trace lane
-  // trace_lane_base + s (one lane per producer thread).
-  uint32_t trace_lane_base = 0;
   bool latency = false;
   // Register {stage=...} cycle counters and measure switch-side stages.
   bool profile = false;
@@ -41,6 +40,8 @@ class ShardedFeSwitch {
   // {shard="<s>"} labels, shared superfe_mgpv_* counters) are registered so
   // the family totals equal an unsharded run's; only the live_entries gauge
   // gets a per-shard label (concurrent writers would tear a shared gauge).
+  // With one sink nothing is shard-labeled: the series and obs block names
+  // are those of a single FeSwitch.
   ShardedFeSwitch(const CompiledPolicy& compiled,
                   const std::vector<MgpvSink*>& shard_sinks,
                   const MgpvConfig& mgpv_overrides,
@@ -51,7 +52,8 @@ class ShardedFeSwitch {
   const FeSwitch& shard(size_t s) const { return *shards_[s]; }
 
   // The shard that owns `pkt`'s CG group. Stable across the run; identical
-  // to the derivation MgpvCache::Insert applies.
+  // to the derivation MgpvCache::Insert applies. 0 without hashing when
+  // there is one shard.
   uint32_t ShardOf(const PacketRecord& pkt) const;
 
   // Drains every shard's cache, in shard order. Call only after all replay

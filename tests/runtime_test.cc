@@ -92,6 +92,55 @@ TEST(RuntimeTest, SerialRunMatchesHandWiredReplayFeSwitchFeNic) {
     EXPECT_EQ(report.nic.vectors_emitted, (*nic)->stats().vectors_emitted);
     EXPECT_TRUE(serial.rows == oracle.rows)
         << serial.rows.size() << " bytes vs " << oracle.rows.size();
+
+    // The one-shard switch side counts exactly what the hand-wired switch
+    // counts.
+    const FeSwitchStats& sw = fe_switch.stats();
+    EXPECT_EQ(report.switch_stats.packets_seen, sw.packets_seen);
+    EXPECT_EQ(report.switch_stats.packets_filtered, sw.packets_filtered);
+    EXPECT_EQ(report.switch_stats.packets_batched, sw.packets_batched);
+    EXPECT_EQ(report.switch_stats.frames_unparseable, sw.frames_unparseable);
+    const MgpvStats& mg = fe_switch.cache().stats();
+    EXPECT_EQ(report.mgpv.packets_in, mg.packets_in);
+    EXPECT_EQ(report.mgpv.bytes_in, mg.bytes_in);
+    EXPECT_EQ(report.mgpv.reports_out, mg.reports_out);
+    EXPECT_EQ(report.mgpv.cells_out, mg.cells_out);
+    EXPECT_EQ(report.mgpv.bytes_out, mg.bytes_out);
+    EXPECT_EQ(report.mgpv.fg_syncs, mg.fg_syncs);
+    EXPECT_EQ(report.mgpv.fg_collisions, mg.fg_collisions);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(report.mgpv.evictions[i], mg.evictions[i]) << "eviction cause " << i;
+    }
+    EXPECT_EQ(report.mgpv.long_allocs, mg.long_allocs);
+    EXPECT_EQ(report.mgpv.long_alloc_failures, mg.long_alloc_failures);
+    EXPECT_EQ(report.mgpv.pressure_evictions, mg.pressure_evictions);
+    EXPECT_EQ(report.mgpv.injected_pool_failures, mg.injected_pool_failures);
+
+    // With metrics on, the one-shard catalog is the unsharded one: switch
+    // series carry no shard label and the obs blocks are "switch"/"mgpv".
+    RuntimeConfig metrics_config;
+    metrics_config.obs.metrics = true;
+    auto observed = SuperFeRuntime::Create(*policy, metrics_config);
+    ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+    CsvRowSink observed_rows;
+    (*observed)->Run(trace, &observed_rows);
+    EXPECT_TRUE(observed_rows.rows == oracle.rows);
+    const obs::MetricsRegistry& metrics = *(*observed)->metrics();
+    size_t seen_series = 0;
+    for (const auto& m : metrics.Collect()) {
+      if (m.name == "superfe_switch_packets_seen_total") {
+        ++seen_series;
+        EXPECT_TRUE(m.labels.empty()) << obs::MetricsRegistry::SerializeLabels(m.labels);
+      }
+    }
+    EXPECT_EQ(seen_series, 1u);
+    EXPECT_EQ(metrics.Value("superfe_switch_packets_seen_total"),
+              static_cast<double>(sw.packets_seen));
+    for (const char* block : {"switch", "mgpv"}) {
+      EXPECT_TRUE(
+          metrics.Value("superfe_obs_max_flush_lag_packets", {{"block", block}}).has_value())
+          << block;
+    }
   }
 }
 

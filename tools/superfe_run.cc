@@ -23,7 +23,9 @@
 //   1  export/output write failure
 //   2  usage error
 //   3  invalid configuration (policy parse/compile error, bad fault plan,
-//      unknown profile, bad --listen spec)
+//      unknown profile, bad --listen spec, a --workers/--switch-shards
+//      value that is not a decimal count, more workers than the runtime
+//      allows)
 //   4  unreadable trace (pcap open/decode failure)
 //   5  degraded completion (a fault plan ran and the pipeline shed/lost/
 //      abandoned work or missed a flush deadline — outputs are still the
@@ -34,6 +36,7 @@
 //      documented graceful-shutdown success code)
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -88,8 +91,6 @@ int Usage() {
                "                   [--watchdog-ms N]      worker stall watchdog timeout\n"
                "                   [--no-batch-kernels]   per-cell scalar execution (skip\n"
                "                                          the SoA batch feature kernels)\n"
-               "                   [--compensated-batch]  Neumaier-compensated batch sums\n"
-               "                                          for double-valued reducers\n"
                "                   [--daemon]             continuous operation: rolling MGPV\n"
                "                                          epochs + SIGTERM/SIGINT graceful\n"
                "                                          drain\n"
@@ -120,6 +121,15 @@ constexpr int kExitInvalidConfig = 3;
 constexpr int kExitUnreadableTrace = 4;
 constexpr int kExitDegraded = 5;
 constexpr int kExitDrained = 6;
+
+// Strict unsigned parse: the whole string, decimal digits only, no sign or
+// space, within uint32_t. strtoul would take "-1" as 4294967295 and "abc"
+// as 0.
+bool ParseU32(const char* text, uint32_t* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 // Raised by the SIGTERM/SIGINT handler (daemon mode); the daemon loop polls
 // it between chunks and starts the graceful drain.
@@ -241,7 +251,6 @@ int main(int argc, char** argv) {
   uint64_t flush_timeout_ms = 0;
   uint32_t watchdog_ms = 0;
   bool no_batch_kernels = false;
-  bool compensated_batch = false;
   bool daemon_mode = false;
   uint64_t loop = 1;
   std::string listen_spec;
@@ -267,9 +276,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--report") == 0) {
       report = true;
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseU32(argv[++i], &workers)) {
+        std::fprintf(stderr, "--workers: '%s' is not a count\n", argv[i]);
+        return kExitInvalidConfig;
+      }
     } else if (std::strcmp(argv[i], "--switch-shards") == 0 && i + 1 < argc) {
-      switch_shards = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseU32(argv[++i], &switch_shards)) {
+        std::fprintf(stderr, "--switch-shards: '%s' is not a count\n", argv[i]);
+        return kExitInvalidConfig;
+      }
     } else if (std::strcmp(argv[i], "--pin-threads") == 0) {
       pin_threads = true;
     } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
@@ -300,8 +315,6 @@ int main(int argc, char** argv) {
       watchdog_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--no-batch-kernels") == 0) {
       no_batch_kernels = true;
-    } else if (std::strcmp(argv[i], "--compensated-batch") == 0) {
-      compensated_batch = true;
     } else if (std::strcmp(argv[i], "--daemon") == 0) {
       daemon_mode = true;
     } else if (std::strcmp(argv[i], "--loop") == 0 && i + 1 < argc) {
@@ -421,7 +434,6 @@ int main(int argc, char** argv) {
     config.fault.plan = std::move(plan).value();
   }
   config.nic.batch_kernels = !no_batch_kernels;
-  config.nic.exec.compensated_batch = compensated_batch;
   config.fault.flush_timeout_ms = flush_timeout_ms;
   if (watchdog_ms > 0) {
     // Poll a few times per timeout so a stall is caught promptly.
