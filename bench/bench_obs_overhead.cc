@@ -2,9 +2,8 @@
 // obs subsystem fully off (the default — instrumented sites pay only a
 // null-handle branch), with the metrics registry on, with metrics + latency
 // histograms (trace-clock publication and per-stage Observe calls), and
-// with metrics + tracing + the snapshot sampler on. A batch-size sweep
-// compares the batched hot tier (worker-local delta blocks flushed every
-// batch_packets) against the legacy per-packet registry cadence (batch=1).
+// with metrics + tracing + the snapshot sampler on. Metrics fold through
+// worker-local delta blocks every obs::kObsFlushPackets packets.
 //
 // Emits BENCH_obs_overhead.json. Acceptance: the disabled configuration is
 // the shipping default, so "disabled overhead" is definitionally zero here;
@@ -46,9 +45,6 @@ struct Mode {
   bool trace;
   uint32_t sample_interval_ms;
   bool latency = false;
-  // Hot-tier flush cadence; 0 keeps the RuntimeConfig default (4096).
-  // 1 is the legacy per-packet registry cadence the fast path replaced.
-  uint32_t batch_packets = 0;
   bool profile = false;
   // Live telemetry plane: start the embedded HTTP server (ephemeral port);
   // `scrape` additionally runs a background client hitting /metrics at 1 Hz
@@ -65,9 +61,6 @@ double RunOnce(const Policy& policy, const Trace& trace, const Mode& mode) {
   config.obs.sample_interval_ms = mode.sample_interval_ms;
   config.obs.latency = mode.latency;
   config.obs.profile = mode.profile;
-  if (mode.batch_packets > 0) {
-    config.obs.batch_packets = mode.batch_packets;
-  }
   if (mode.telemetry) {
     config.obs.telemetry_port = 0;  // Ephemeral.
   }
@@ -109,22 +102,16 @@ void Run() {
   const Mode modes[] = {
       {"disabled", false, false, 0},
       {"metrics", true, false, 0},
-      // Batch sweep: the default "metrics" row above uses the shipping
-      // hot-tier cadence (4096); batch=1 is the legacy per-packet registry
-      // path the worker-local delta blocks replaced.
-      {"metrics batch=1 (legacy)", true, false, 0, false, 1},
-      {"metrics batch=64", true, false, 0, false, 64},
-      {"metrics batch=1024", true, false, 0, false, 1024},
       {"metrics+latency", true, false, 0, true},
-      {"metrics+latency+profile", true, false, 0, true, 0, true},
+      {"metrics+latency+profile", true, false, 0, true, true},
       {"metrics+sampler", true, false, 2},
       {"metrics+trace+sampler", true, true, 2},
       // Telemetry plane cost, split: the server idling (listener thread
       // polling accept, sampler + rolling window ticking) vs actively
       // scraped at 1 Hz. The delta between these two rows is the scrape
       // cost proper (scrape_added_pp below).
-      {"metrics+telemetry (idle)", true, false, 0, false, 0, false, true},
-      {"metrics+telemetry scraped@1Hz", true, false, 0, false, 0, false, true, true},
+      {"metrics+telemetry (idle)", true, false, 0, false, false, true},
+      {"metrics+telemetry scraped@1Hz", true, false, 0, false, false, true, true},
   };
   constexpr size_t kModeCount = sizeof(modes) / sizeof(modes[0]);
 
@@ -219,7 +206,6 @@ void Run() {
     w.FieldUint("sample_interval_ms", mode.sample_interval_ms);
     w.FieldBool("latency", mode.latency);
     w.FieldBool("profile", mode.profile);
-    w.FieldUint("batch_packets", mode.batch_packets);
     w.FieldBool("telemetry", mode.telemetry);
     w.FieldBool("scraped_1hz", mode.scrape);
     w.FieldDouble("ms", ms);
@@ -259,9 +245,7 @@ void Run() {
       "\nShape check: 'disabled' is the shipping default (null-handle branches\n"
       "only, no delta blocks allocated, no cycle reads); metrics accumulates\n"
       "into thread-local plain delta cells and folds into the shared registry\n"
-      "once per batch (default 4096 packets), so overhead should fall as the\n"
-      "batch grows and 'metrics batch=1 (legacy)' should be the most\n"
-      "expensive metrics row; latency adds a clock store per packet plus\n"
+      "once per 4096 packets; latency adds a clock store per packet plus\n"
       "per-report histogram-cell observes; profile adds one cycle-counter\n"
       "read pair per instrumented stage; tracing adds a ring write per\n"
       "span/instant on top.\n");

@@ -4,9 +4,9 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/build_info.h"
 #include "common/json_writer.h"
@@ -23,70 +23,17 @@ uint64_t SteadyNowNs() {
 
 }  // namespace
 
-// The NIC side is built once at Create, but the user sink arrives per run:
-// each cluster member emits into its member forwarder here, which forwards
-// to the current target.
-class SuperFeRuntime::ForwardingSink : public FeatureSink {
- public:
-  void OnFeatureVector(FeatureVector&& vector) override {
-    if (target_ != nullptr) {
-      target_->OnFeatureVector(std::move(vector));
-    }
-  }
-
-  // Cluster member `member`'s entry point. It forwards to the target's own
-  // member sink when the target offers one, and otherwise to the target
-  // itself under a lock shared by all members (the target then sees one
-  // call at a time, as NicCluster's serializing wrapper would give it).
-  FeatureSink* MemberSink(size_t member) override {
-    while (members_.size() <= member) {
-      members_.push_back(std::make_unique<Member>(this, members_.size()));
-    }
-    return members_[member].get();
-  }
-
-  // Quiescent only (before a run starts or after its final barrier).
-  void set_target(FeatureSink* target) {
-    target_ = target;
-    for (auto& member : members_) {
-      member->Resolve(target);
-    }
-  }
-
- private:
-  class Member : public FeatureSink {
-   public:
-    Member(ForwardingSink* owner, size_t index) : owner_(owner), index_(index) {}
-    void OnFeatureVector(FeatureVector&& vector) override {
-      if (direct_ != nullptr) {
-        direct_->OnFeatureVector(std::move(vector));
-      } else if (owner_->target_ != nullptr) {
-        std::lock_guard<std::mutex> lock(owner_->serialize_mu_);
-        owner_->target_->OnFeatureVector(std::move(vector));
-      }
-    }
-    void Resolve(FeatureSink* target) {
-      direct_ = target != nullptr ? target->MemberSink(index_) : nullptr;
-    }
-
-   private:
-    ForwardingSink* owner_;
-    size_t index_;
-    FeatureSink* direct_ = nullptr;
-  };
-
-  FeatureSink* target_ = nullptr;
-  std::mutex serialize_mu_;
-  std::vector<std::unique_ptr<Member>> members_;
-};
-
 Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& policy,
                                                                const RuntimeConfig& config) {
-  if (config.worker_threads > obs::TraceClock::kMaxLanes) {
-    // Checked before anything is built: each worker is a FeNic and a thread.
-    return Status::InvalidArgument("worker_threads " +
-                                   std::to_string(config.worker_threads) + " exceeds " +
-                                   std::to_string(obs::TraceClock::kMaxLanes));
+  // Checked before anything is built: each worker is a FeNic and a thread,
+  // each shard a switch pipe and a thread.
+  for (const auto& [name, count] : {std::pair{"worker_threads", config.worker_threads},
+                                    std::pair{"switch_shards", config.switch_shards}}) {
+    if (count > obs::TraceClock::kMaxLanes) {
+      return Status::InvalidArgument(std::string(name) + " " + std::to_string(count) +
+                                     " exceeds " +
+                                     std::to_string(obs::TraceClock::kMaxLanes));
+    }
   }
   auto compiled = Compile(policy);
   if (!compiled.ok()) {
@@ -105,9 +52,7 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
     }
     cfg.obs.window_epochs = std::max<uint32_t>(cfg.obs.window_epochs, 2);
   }
-  cfg.obs.batch_packets = std::max<uint32_t>(cfg.obs.batch_packets, 1);
-  cfg.switch_shards = std::min(std::max<uint32_t>(cfg.switch_shards, 1),
-                               obs::TraceClock::kMaxLanes);
+  cfg.switch_shards = std::max<uint32_t>(cfg.switch_shards, 1);
   cfg.replay.pin_threads = cfg.replay.pin_threads || cfg.pin_threads;
   if (cfg.fault.enabled()) {
     // A fault plan implies degraded-mode survival: arm MGPV's graceful
@@ -150,27 +95,24 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
   // replay thread (the serial reference). Inline dispatch records the
   // service and end-to-end latency itself; failover and flush-time
   // abandonment live in the cluster for both modes.
-  NicClusterOptions options = cfg.cluster;
+  NicClusterOptions options;
   options.parallel = cfg.worker_threads > 0;
-  options.pin_threads = options.pin_threads || cfg.pin_threads;
+  options.pin_threads = cfg.pin_threads;
   options.metrics = runtime->metrics_.get();
   options.trace = runtime->trace_.get();
-  options.trace_lane_base = 0;
   options.worker_lane_base = shards;
   options.latency_clock = runtime->trace_clock_.get();
   options.injector = runtime->injector_.get();
   options.profile = cfg.obs.profile;
-  options.obs_batch_packets = cfg.obs.batch_packets;
-  if (cfg.fault.flush_timeout_ms > 0) {
-    options.flush_timeout_ms = cfg.fault.flush_timeout_ms;
-  }
+  options.flush_timeout_ms = cfg.fault.flush_timeout_ms;
   if (cfg.fault.watchdog_interval_ms > 0) {
     options.watchdog_interval_ms = cfg.fault.watchdog_interval_ms;
     options.watchdog_timeout_ms = cfg.fault.watchdog_timeout_ms;
   }
+  // No sink until a run binds one (BeginRun).
   auto cluster = NicCluster::Create(runtime->compiled_, cfg.nic,
                                     std::max<uint32_t>(cfg.worker_threads, 1),
-                                    runtime->forwarding_.get(), options);
+                                    /*sink=*/nullptr, options);
   if (!cluster.ok()) {
     return cluster.status();
   }
@@ -193,7 +135,6 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
   sw_options.latency = cfg.obs.latency;
   sw_options.injector = runtime->injector_.get();
   sw_options.profile = cfg.obs.profile;
-  sw_options.obs_batch_packets = cfg.obs.batch_packets;
   runtime->sharded_ =
       std::make_unique<ShardedFeSwitch>(runtime->compiled_, sinks, cfg.mgpv, sw_options);
   runtime->shard_replay_obs_.reserve(shards);
@@ -251,13 +192,10 @@ Result<std::unique_ptr<SuperFeRuntime>> SuperFeRuntime::Create(const Policy& pol
 SuperFeRuntime::SuperFeRuntime(CompiledPolicy compiled, const RuntimeConfig& config)
     : compiled_(std::move(compiled)),
       config_(config),
-      forwarding_(std::make_unique<ForwardingSink>()),
       created_at_(std::chrono::steady_clock::now()) {}
 
-SuperFeRuntime::~SuperFeRuntime() = default;
-
 void SuperFeRuntime::BeginRun(FeatureSink* sink) {
-  forwarding_->set_target(sink);
+  cluster_->SetSink(sink);
   run_active_.store(true, std::memory_order_relaxed);
   run_start_unix_ms_.store(
       static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -339,6 +277,10 @@ Status SuperFeRuntime::FlushPipeline() {
   // the destructor completes the join.
   const Status flush_status =
       cluster_->FlushWithDeadline(cluster_->options().flush_timeout_ms);
+  // Unbind the run's sink: past a missed deadline the draining workers'
+  // vectors are dropped instead of reaching a sink the caller may drain
+  // (the final epoch's on_epoch) or free once the run returns.
+  cluster_->SetSink(nullptr);
   cluster_->UpdateObsGauges();
   return flush_status;
 }
@@ -348,7 +290,6 @@ RunReport SuperFeRuntime::FinishRun(const ReplayReport& offered,
   if (sampler_ != nullptr) {
     sampler_->Stop();
   }
-  forwarding_->set_target(nullptr);
 
   RunReport report;
   report.offered = offered;
@@ -580,7 +521,6 @@ void SuperFeRuntime::WriteRunBlockJson(JsonWriter& writer) const {
   writer.FieldUint("switch_shards", config_.switch_shards);
   writer.FieldUint("workers", config_.worker_threads);
   writer.FieldUint("sample_interval_ms", config_.obs.sample_interval_ms);
-  writer.FieldUint("obs_batch_packets", config_.obs.batch_packets);
   writer.FieldBool("fault_plan", config_.fault.enabled());
   writer.FieldBool("active", run_active_.load(std::memory_order_relaxed));
   writer.FieldUint("runs_completed", runs_completed_.load(std::memory_order_relaxed));

@@ -55,21 +55,21 @@ struct RuntimeConfig {
   // member dispatched inline on the replay thread. N > 0 runs N members,
   // one worker thread each (at most obs::TraceClock::kMaxLanes; Create
   // rejects more) — wall-clock scales with cores while the feature
-  // multiset stays identical for a given routing. Lossless by default
-  // (cluster.drop_on_overflow = false).
+  // multiset stays identical for a given routing. Lossless: a full worker
+  // queue blocks its producer. Create builds the NicClusterOptions from
+  // this, pin_threads, `fault` and `obs`; the queue tuning keeps its
+  // defaults.
   uint32_t worker_threads = 0;
-  // Tuning for the parallel pipeline; `parallel` is implied by
-  // worker_threads > 0 and ignored here.
-  NicClusterOptions cluster;
 
   // Switch-side sharding: the switch side is always a ShardedFeSwitch of N
   // independent FE-Switch/MGPV pipes, each replayed on its own thread from
   // the CG-hash-partitioned stream, so producer-side wall-clock scales with
   // cores too. Per-group packet order is preserved (a group never spans
   // shards), so the feature multiset is identical to the serial reference.
-  // 1 (default) is one shard: no hashing, unlabeled metrics. Composes with
-  // worker_threads: each shard feeds the NIC cluster through its own
-  // producer handle. Clamped to [1, obs::TraceClock::kMaxLanes].
+  // 1 (default; 0 means 1) is one shard: no hashing, unlabeled metrics.
+  // Composes with worker_threads: each shard feeds the NIC cluster through
+  // its own producer handle. At most obs::TraceClock::kMaxLanes; Create
+  // rejects more.
   uint32_t switch_shards = 1;
 
   // CPU affinity for the parallel pipeline (--pin-threads): pin replay
@@ -77,8 +77,8 @@ struct RuntimeConfig {
   // thread and the members its CG range feeds stay on the same core/NUMA
   // node. Best-effort (src/common/affinity): where pinning is unsupported
   // it degrades to a no-op with one logged warning — safe on any host,
-  // including single-CPU CI runners. Forwards into replay.pin_threads and
-  // cluster.pin_threads.
+  // including single-CPU CI runners. Applies to the replay shards (with
+  // replay.pin_threads) and the NIC workers.
   bool pin_threads = false;
 
   // Deterministic fault injection + degraded-mode failover
@@ -103,7 +103,10 @@ struct RuntimeConfig {
   // or sampler is created, and the pipeline pays only null-handle branches.
   struct ObsConfig {
     // Create a MetricsRegistry and wire superfe_* counters/gauges through
-    // replay, switch, MGPV, NIC(s), and cluster workers.
+    // replay, switch, MGPV, NIC(s), and cluster workers. Per-packet sites
+    // accumulate into thread-local WorkerObsBlocks that fold into the
+    // registry every obs::kObsFlushPackets packets and at every quiescence
+    // edge (docs/OBSERVABILITY.md, "Hot-path design").
     bool metrics = false;
     // Create a TraceRecorder (one lane for the producer thread plus one per
     // worker) and emit pipeline spans/instants for Chrome/Perfetto.
@@ -118,13 +121,6 @@ struct RuntimeConfig {
     // end-to-end distributions as superfe_latency_* histograms. Implies
     // `metrics`.
     bool latency = false;
-    // Hot-tier flush cadence (docs/OBSERVABILITY.md, "Hot-path design"):
-    // every per-packet instrumentation site accumulates into a thread-local
-    // WorkerObsBlock and folds into the shared registry once per this many
-    // packets (plus at every flush barrier, failover fence, and shutdown,
-    // so quiescent totals stay exact). 1 restores the legacy per-packet
-    // registry cadence; NIC workers additionally flush per dequeued batch.
-    uint32_t batch_packets = 4096;
     // Per-stage cycle profiling: bracket dequeue, feature kernels, MGPV
     // insert, and sync broadcast with cycle-counter reads and export them
     // as superfe_cycles_total{stage=...}. Implies `metrics`. Off by
@@ -324,13 +320,14 @@ class SuperFeRuntime {
  public:
   static Result<std::unique_ptr<SuperFeRuntime>> Create(const Policy& policy,
                                                         const RuntimeConfig& config);
-  ~SuperFeRuntime();  // Out of line: ForwardingSink is incomplete here.
 
   // Replays the trace through switch + NIC, flushes both, reports: the
   // run loop below over a one-loop LoopedTraceSource, without rotation.
   // `sink` sees one call at a time, unless it offers member sinks
   // (FeatureSink::MemberSink): then each cluster member emits into its own,
-  // concurrently across parallel members.
+  // concurrently across parallel members. No call reaches `sink` after
+  // Run/RunDaemon returns, even when the flush missed its deadline and
+  // workers still drain (their late vectors are dropped).
   RunReport Run(const Trace& trace, FeatureSink* sink);
 
   // The run loop (docs/ROBUSTNESS.md, "Daemon mode"): pulls chunks from
@@ -414,7 +411,7 @@ class SuperFeRuntime {
   // The run loop's lifecycle (core/daemon.cc holds the loop itself):
   //   BeginRun -> ResolveFaultTriggers -> [streamed replay with epoch
   //   fences] -> FlushPipeline -> FinishRun.
-  // Points the NIC side at `sink` and starts the run's telemetry.
+  // Binds the NIC side to `sink` and starts the run's telemetry.
   void BeginRun(FeatureSink* sink);
   // Resolves at_packet fault triggers over `axis` with the replayer's own
   // arithmetic; no trace or an empty one = packet triggers never fire.
@@ -422,11 +419,11 @@ class SuperFeRuntime {
   // armed.
   void ResolveFaultTriggers(const LoopedTrace& axis);
   // End-of-run flush: switch caches, producers, then the cluster flush
-  // barrier with deadline. Returns the barrier status (deadline miss =
-  // not-ok).
+  // barrier with deadline, then unbinds the run's sink. Returns the barrier
+  // status (deadline miss = not-ok).
   Status FlushPipeline();
-  // Stops the sampler, detaches the sink, and builds the full RunReport
-  // from the quiescent pipeline (including health OnRunComplete).
+  // Stops the sampler and builds the full RunReport from the pipeline
+  // (including health OnRunComplete).
   RunReport FinishRun(const ReplayReport& offered, const Status& flush_status);
 
   // Summarizes the superfe_latency_* histograms plus the cost-model cycle
@@ -447,18 +444,14 @@ class SuperFeRuntime {
   // Fault injector precedes the pipeline members that hold hooks into it.
   std::unique_ptr<FaultInjector> injector_;
   std::vector<ReplayObs> shard_replay_obs_;  // One per switch shard.
-  std::unique_ptr<NicCluster> cluster_;  // The NIC side; must outlive sharded_.
+  // The NIC side, bound to each run's sink from BeginRun to FlushPipeline;
+  // must outlive sharded_.
+  std::unique_ptr<NicCluster> cluster_;
   // Per-shard feeding handles into the cluster (parallel mode); declared
   // after cluster_ so Close()-on-destroy still sees it alive.
   std::vector<std::unique_ptr<NicCluster::Producer>> shard_producers_;
   // The switch side, never null: config.switch_shards shards.
   std::unique_ptr<ShardedFeSwitch> sharded_;
-
-  // Internal forwarding sink: the NIC side is built once at Create, and
-  // each run points it (and its per-member forwarders) at the run's user
-  // sink.
-  class ForwardingSink;
-  std::unique_ptr<ForwardingSink> forwarding_;
 
   // Live telemetry plane (obs.telemetry_port >= 0). The window and health
   // machine are fed from the sampler's pre-sample hook; the server's

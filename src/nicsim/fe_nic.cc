@@ -40,7 +40,7 @@ FeNicObs FeNicObs::Create(obs::MetricsRegistry* registry, uint32_t nic_index,
 void FeNic::set_obs(const FeNicObs& obs) {
   std::lock_guard<std::mutex> lock(mu_);
   obs_ = obs;
-  block_.Init(obs.registry, obs.block_name, obs.flush_packets);
+  block_.Init(obs.registry, obs.block_name, obs::kObsFlushPackets);
   local_ = LocalObs{};
   local_.reports = block_.BindCounter(obs.reports);
   local_.cells = block_.BindCounter(obs.cells);
@@ -49,6 +49,11 @@ void FeNic::set_obs(const FeNicObs& obs) {
   local_.dram_detours = block_.BindCounter(obs.dram_detours);
   local_.cycles_feature = block_.BindCounter(obs.cycles_feature);
   local_.cycles_sync = block_.BindCounter(obs.cycles_sync);
+}
+
+void FeNic::set_sink(FeatureSink* sink) {
+  std::lock_guard<std::mutex> lock(mu_);
+  sink_ = sink;
 }
 
 Result<std::unique_ptr<FeNic>> FeNic::Create(const CompiledPolicy& compiled,
@@ -208,7 +213,9 @@ void FeNic::ProcessReportScalarLocked(const MgpvReport& report) {
       }
       stats_.vectors_emitted++;
       obs::Inc(local_.vectors_emitted);
-      sink_->OnFeatureVector(std::move(vector));
+      if (sink_ != nullptr) {
+        sink_->OnFeatureVector(std::move(vector));
+      }
     }
   }
 }
@@ -304,7 +311,9 @@ void FeNic::EmitVector(const GroupKey& unit_key, const GroupState& unit_group) {
   }
   stats_.vectors_emitted++;
   obs::Inc(local_.vectors_emitted);
-  sink_->OnFeatureVector(std::move(vector));
+  if (sink_ != nullptr) {
+    sink_->OnFeatureVector(std::move(vector));
+  }
 }
 
 void FeNic::EvictIdleGroups(uint64_t now_ns) {

@@ -6,10 +6,14 @@
 //
 // Threading model: each FeNic is owned by exactly one executing thread at a
 // time (the caller in the serial path, a dedicated worker in the parallel
-// NicCluster pipeline). All mutating entry points and the Snapshot()
-// accessors take an internal mutex, so *other* threads may read consistent
-// stats/perf snapshots while the owner is processing. The raw stats()/perf()
-// references remain for single-threaded and quiescent (post-Flush) use.
+// NicCluster pipeline). All mutating entry points, set_sink() and the
+// Snapshot() accessors take an internal mutex, so *other* threads may read
+// consistent stats/perf snapshots while the owner is processing. Barriers
+// alone cannot replace the mutex: after a missed flush deadline the
+// workers keep draining while the runtime detaches the run's sink and
+// builds its report from AggregateStats(), MergedPerf() and CostReport().
+// The raw stats()/perf() references remain for single-threaded and
+// quiescent (post-Flush) use.
 #ifndef SUPERFE_NICSIM_FE_NIC_H_
 #define SUPERFE_NICSIM_FE_NIC_H_
 
@@ -38,8 +42,9 @@ struct FeNicConfig {
 
   // SoA batch execution path: sort each worker batch by FG key and apply
   // per-group runs as bulk reducer calls (UpdateGroupBatch). Identical
-  // output under the exactness contract in streaming/batch.h; disable to
-  // fall back to the per-cell scalar path (--no-batch-kernels).
+  // output under the exactness contract in streaming/batch.h. false runs
+  // the per-cell path, the oracle the batch path is tested against (it
+  // also serves collect(pkt) policies either way); no CLI flag sets it.
   bool batch_kernels = true;
 
   uint32_t group_table_indices = 16384;
@@ -81,7 +86,6 @@ struct FeNicObs {
   // count as packets for the flush cadence.
   obs::MetricsRegistry* registry = nullptr;
   std::string block_name = "nic";
-  uint32_t flush_packets = 4096;
 
   static FeNicObs Create(obs::MetricsRegistry* registry, uint32_t nic_index,
                          bool profile = false);
@@ -143,6 +147,10 @@ class FeNic : public MgpvSink {
   // Wiring-time setter (call before the owning thread starts processing).
   void set_obs(const FeNicObs& obs);
 
+  // Where vectors go from now on (null = counted, then dropped). Takes the
+  // mutex, so an emission in flight completes into the old sink first.
+  void set_sink(FeatureSink* sink);
+
  private:
   FeNic(const CompiledPolicy& compiled, const FeNicConfig& config, FeatureSink* sink,
         ExecPlan plan, PlacementProblem problem, PlacementResult placement);
@@ -168,7 +176,7 @@ class FeNic : public MgpvSink {
   PlacementProblem placement_problem_;
   PlacementResult placement_;
   // Batch-local delta cells for the superfe_nic_* counters. Guarded by mu_
-  // like stats_; the block auto-flushes per flush_packets cells and at
+  // like stats_; the block auto-flushes per obs::kObsFlushPackets cells and at
   // Flush()/AbandonState().
   struct LocalObs {
     obs::WorkerObsBlock::CounterCell* reports = nullptr;

@@ -39,47 +39,48 @@ Result<std::unique_ptr<NicCluster>> NicCluster::Create(const CompiledPolicy& com
   if (nic_count == 0) {
     return Status::InvalidArgument("a NIC cluster needs at least one member");
   }
-  // Member i emits into the sink's own member sink when it offers one.
-  // Otherwise parallel members would emit concurrently into the shared
-  // sink, so they go through a serializing wrapper that lets the user sink
-  // see one call at a time.
-  std::unique_ptr<SerializingSink> serializing;
-  std::vector<FeatureSink*> member_sinks(nic_count, sink);
-  for (size_t i = 0; i < nic_count && sink != nullptr; ++i) {
-    if (FeatureSink* member = sink->MemberSink(i)) {
-      member_sinks[i] = member;
-    } else if (options.parallel) {
-      if (serializing == nullptr) {
-        serializing = std::make_unique<SerializingSink>(sink);
-      }
-      member_sinks[i] = serializing.get();
-    }
-  }
   std::vector<std::unique_ptr<FeNic>> nics;
   nics.reserve(nic_count);
   for (size_t i = 0; i < nic_count; ++i) {
-    auto nic = FeNic::Create(compiled, config, member_sinks[i]);
+    auto nic = FeNic::Create(compiled, config, /*sink=*/nullptr);
     if (!nic.ok()) {
       return nic.status();
     }
     nics.push_back(std::move(nic).value());
   }
-  return std::unique_ptr<NicCluster>(
-      new NicCluster(std::move(nics), options, std::move(serializing)));
+  std::unique_ptr<NicCluster> cluster(new NicCluster(std::move(nics), options));
+  cluster->SetSink(sink);
+  return cluster;
+}
+
+void NicCluster::SetSink(FeatureSink* sink) {
+  // Member i emits into the sink's own member sink when it offers one.
+  // Otherwise parallel members would emit concurrently into the shared
+  // sink, so they go through a serializing wrapper that lets the user sink
+  // see one call at a time.
+  std::unique_ptr<SerializingSink> serializing;
+  for (size_t i = 0; i < nics_.size(); ++i) {
+    FeatureSink* member = sink != nullptr ? sink->MemberSink(i) : nullptr;
+    if (member == nullptr && sink != nullptr) {
+      if (options_.parallel && serializing == nullptr) {
+        serializing = std::make_unique<SerializingSink>(sink);
+      }
+      member = options_.parallel ? serializing.get() : sink;
+    }
+    nics_[i]->set_sink(member);
+  }
+  // No member can still be inside the old wrapper: each switched under its
+  // lock, which every emission holds.
+  serializing_sink_ = std::move(serializing);
 }
 
 NicCluster::NicCluster(std::vector<std::unique_ptr<FeNic>> nics,
-                       const NicClusterOptions& options,
-                       std::unique_ptr<SerializingSink> serializing_sink)
-    : nics_(std::move(nics)),
-      options_(options),
-      serializing_sink_(std::move(serializing_sink)) {
+                       const NicClusterOptions& options)
+    : nics_(std::move(nics)), options_(options) {
   if (options_.metrics != nullptr) {
     for (size_t i = 0; i < nics_.size(); ++i) {
-      FeNicObs nic_obs =
-          FeNicObs::Create(options_.metrics, static_cast<uint32_t>(i), options_.profile);
-      nic_obs.flush_packets = options_.obs_batch_packets;
-      nics_[i]->set_obs(nic_obs);
+      nics_[i]->set_obs(
+          FeNicObs::Create(options_.metrics, static_cast<uint32_t>(i), options_.profile));
     }
     if (options_.latency_clock != nullptr) {
       lat_service_ = options_.metrics->GetLatencyHistogram(
@@ -95,9 +96,6 @@ NicCluster::NicCluster(std::vector<std::unique_ptr<FeNic>> nics,
   }
   if (options_.enqueue_batch == 0) {
     options_.enqueue_batch = 1;
-  }
-  if (options_.worker_lane_base == 0) {
-    options_.worker_lane_base = options_.trace_lane_base + 1;  // Historical layout.
   }
   workers_.reserve(nics_.size());
   for (size_t i = 0; i < nics_.size(); ++i) {
@@ -143,7 +141,7 @@ NicCluster::NicCluster(std::vector<std::unique_ptr<FeNic>> nics,
                                        "Measured worker cycles by pipeline stage");
     }
   }
-  default_producer_.reset(new Producer(this, options_.trace_lane_base));
+  default_producer_.reset(new Producer(this, /*trace_lane=*/0));
   // Spawn only after every queue exists: a worker never touches a sibling's
   // state, but WorkerLoop indexes workers_ which must be fully built.
   const uint64_t now_ns = SteadyNowNs();
@@ -680,7 +678,7 @@ Status NicCluster::BarrierWithDeadline(uint64_t timeout_ms, bool drain_only) {
   // and wait until each worker has drained its queue *and* run its member's
   // Flush(). Markers bypass the capacity bound so the barrier cannot wedge
   // behind a full queue.
-  obs::TraceRecorder::Span span(options_.trace, options_.trace_lane_base, "cluster",
+  obs::TraceRecorder::Span span(options_.trace, /*lane=*/0, "cluster",
                                 drain_only ? "drain_barrier" : "flush_barrier");
   default_producer_->Close();
   if (!drain_only) {
@@ -759,7 +757,7 @@ void NicCluster::WatchdogLoop() {
           options_.injector->NoteWatchdogStall();
         }
         if (options_.trace != nullptr) {
-          options_.trace->Instant(options_.trace_lane_base, "fault", "watchdog_stall",
+          options_.trace->Instant(/*lane=*/0, "fault", "watchdog_stall",
                                   "worker", i);
         }
       } else if (!stalled) {

@@ -72,23 +72,17 @@ struct NicClusterOptions {
   // every member NIC registers superfe_nic_* counters labeled {nic="<i>"}
   // and, in parallel mode, every worker registers superfe_cluster_*
   // counters/gauges labeled {worker="<i>"}. With `trace`, the default
-  // producer emits on lane `trace_lane_base` and worker i on lane
-  // `worker_lane_base + i` (lanes are single-writer). `worker_lane_base`
-  // = 0 means the historical layout, `trace_lane_base + 1`; the sharded
-  // replay driver sets it past its per-shard producer lanes.
+  // producer and the barriers emit on lane 0 and worker i on lane
+  // `worker_lane_base + i` (lanes are single-writer); the runtime sets it
+  // past its per-shard producer lanes.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceRecorder* trace = nullptr;
-  uint32_t trace_lane_base = 0;
-  uint32_t worker_lane_base = 0;
+  uint32_t worker_lane_base = 1;
 
   // Register superfe_cycles_total{stage=...} counters and bracket the
   // worker stages (dequeue, feature_kernels, sync_broadcast) with cycle
   // reads. Off = zero cycle reads on the hot path.
   bool profile = false;
-  // Auto-flush cadence of each member NIC's batch-local obs block, in
-  // processed cells (1 = legacy per-packet registry cadence). Worker-loop
-  // blocks flush per dequeued batch regardless.
-  uint32_t obs_batch_packets = 4096;
 
   // Trace-time clock published by the replay loop (see obs/latency.h). When
   // set together with `metrics`, the cluster records queue wait, worker
@@ -185,6 +179,13 @@ class NicCluster : public MgpvSink {
                                                     const NicClusterOptions& options);
 
   ~NicCluster() override;
+
+  // Rebinds every member to `sink` (null = emitted vectors are counted and
+  // dropped), by Create's member-sink rule. Each member switches under its
+  // own lock, so an emission in flight completes into the old sink and
+  // none reaches it after SetSink returns — also while workers still drain
+  // past a missed flush deadline.
+  void SetSink(FeatureSink* sink);
 
   // One switch-side feeding thread's handle (parallel mode). The staging
   // batches are producer-owned state, so each concurrent feeder — e.g. one
@@ -358,8 +359,7 @@ class NicCluster : public MgpvSink {
     FeatureSink* target_;
   };
 
-  NicCluster(std::vector<std::unique_ptr<FeNic>> nics, const NicClusterOptions& options,
-             std::unique_ptr<SerializingSink> serializing_sink);
+  NicCluster(std::vector<std::unique_ptr<FeNic>> nics, const NicClusterOptions& options);
 
   void WorkerLoop(size_t index);
   void WatchdogLoop();
@@ -385,7 +385,7 @@ class NicCluster : public MgpvSink {
 
   std::vector<std::unique_ptr<FeNic>> nics_;
   NicClusterOptions options_;
-  // Parallel mode, when some member has no member sink of its own.
+  // Parallel mode, when the bound sink offers no member sinks.
   std::unique_ptr<SerializingSink> serializing_sink_;
   std::vector<std::unique_ptr<Worker>> workers_;  // Parallel mode only.
   std::unique_ptr<Producer> default_producer_;    // Parallel mode only.

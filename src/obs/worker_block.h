@@ -37,6 +37,13 @@
 namespace superfe {
 namespace obs {
 
+// The pipeline blocks' auto-flush cadence, in packets (cells for a NIC):
+// the switch, MGPV and NIC blocks fold into the registry once per this
+// many and at every quiescence edge, so quiescent totals are exact at any
+// cadence. Measured, cadences of 64 to 4096 cost the same and folding per
+// packet costs about 8 % more, so the cadence is a constant.
+constexpr uint32_t kObsFlushPackets = 4096;
+
 class WorkerObsBlock {
  public:
   struct CounterCell {

@@ -54,7 +54,7 @@ FeSwitch::FeSwitch(const CompiledPolicy& compiled, MgpvSink* sink,
 
 void FeSwitch::set_obs(const FeSwitchObs& obs) {
   obs_ = obs;
-  block_.Init(obs.registry, obs.block_name, obs.flush_packets);
+  block_.Init(obs.registry, obs.block_name, obs::kObsFlushPackets);
   local_ = LocalObs{};
   local_.packets_seen = block_.BindCounter(obs.packets_seen);
   local_.packets_filtered = block_.BindCounter(obs.packets_filtered);

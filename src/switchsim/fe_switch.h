@@ -34,7 +34,6 @@ struct FeSwitchObs {
   // Cold-tier identity for the switch's WorkerObsBlock (see MgpvObs).
   obs::MetricsRegistry* registry = nullptr;
   std::string block_name = "switch";
-  uint32_t flush_packets = 4096;
 
   static FeSwitchObs Create(obs::MetricsRegistry* registry,
                             const obs::LabelSet& instance_labels);

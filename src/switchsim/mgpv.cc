@@ -103,7 +103,7 @@ uint64_t MgpvConfig::MemoryFootprintBytes() const {
 
 void MgpvCache::set_obs(const MgpvObs& obs) {
   obs_ = obs;
-  block_.Init(obs.registry, obs.block_name, obs.flush_packets);
+  block_.Init(obs.registry, obs.block_name, obs::kObsFlushPackets);
   local_ = LocalObs{};
   local_.packets_in = block_.BindCounter(obs.packets_in);
   local_.bytes_in = block_.BindCounter(obs.bytes_in);

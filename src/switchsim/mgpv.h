@@ -57,12 +57,10 @@ struct MgpvObs {
   uint32_t trace_lane = 0;
 
   // Cold-tier identity for the owning cache's WorkerObsBlock: where to
-  // register the batching tier's meta-metrics, the {block=...} label value,
-  // and the auto-flush cadence in packets (1 restores the legacy
-  // per-packet registry cadence).
+  // register the batching tier's meta-metrics and the {block=...} label
+  // value (the cadence is obs::kObsFlushPackets).
   obs::MetricsRegistry* registry = nullptr;
   std::string block_name = "mgpv";
-  uint32_t flush_packets = 4096;
 
   // Registers the standard superfe_mgpv_* metrics (docs/OBSERVABILITY.md).
   // Null `registry`/`trace` leave the corresponding handles null; `latency`
@@ -244,7 +242,8 @@ class MgpvCache {
 
   // Batch-local delta cells bound to obs_'s shared handles (null when the
   // corresponding handle is null). All per-packet bumps go through these;
-  // block_ folds them into the registry per flush_packets and at Flush().
+  // block_ folds them into the registry per obs::kObsFlushPackets packets
+  // and at Flush().
   struct LocalObs {
     obs::WorkerObsBlock::CounterCell* packets_in = nullptr;
     obs::WorkerObsBlock::CounterCell* bytes_in = nullptr;

@@ -18,14 +18,10 @@ ShardedFeSwitch::ShardedFeSwitch(const CompiledPolicy& compiled,
     if (shard_sinks.size() > 1) {
       shard_label = {{"shard", std::to_string(s)}};
     }
-    FeSwitchObs sw_obs = FeSwitchObs::Create(options.metrics, shard_label);
-    sw_obs.flush_packets = options.obs_batch_packets;
-    sw->set_obs(sw_obs);
-    MgpvObs mgpv_obs =
-        MgpvObs::Create(options.metrics, options.trace, /*trace_lane=*/static_cast<uint32_t>(s),
-                        options.latency, shard_label, options.profile);
-    mgpv_obs.flush_packets = options.obs_batch_packets;
-    sw->set_mgpv_obs(mgpv_obs);
+    sw->set_obs(FeSwitchObs::Create(options.metrics, shard_label));
+    sw->set_mgpv_obs(MgpvObs::Create(options.metrics, options.trace,
+                                     /*trace_lane=*/static_cast<uint32_t>(s), options.latency,
+                                     shard_label, options.profile));
     if (options.injector != nullptr) {
       sw->mutable_cache().set_fault(options.injector, static_cast<uint32_t>(s));
     }

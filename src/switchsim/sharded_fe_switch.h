@@ -26,9 +26,6 @@ struct ShardedSwitchOptions {
   bool latency = false;
   // Register {stage=...} cycle counters and measure switch-side stages.
   bool profile = false;
-  // Auto-flush cadence of each shard's batch-local obs blocks, in packets
-  // (1 = legacy per-packet registry cadence).
-  uint32_t obs_batch_packets = 4096;
   // Fault-injection wiring (not owned): shard s's MGPV cache consults
   // injector->PoolExhausted(s, now) on long allocs. Null = no hooks.
   FaultInjector* injector = nullptr;

@@ -135,7 +135,7 @@ struct ObsRun {
 };
 
 ObsRun RunFullObs(const Policy& policy, const Trace& trace, uint32_t shards,
-                  uint32_t workers, uint32_t batch_packets) {
+                  uint32_t workers) {
   RuntimeConfig config;
   config.switch_shards = shards;
   config.worker_threads = workers;
@@ -143,7 +143,6 @@ ObsRun RunFullObs(const Policy& policy, const Trace& trace, uint32_t shards,
   config.obs.latency = true;
   config.obs.profile = true;
   config.obs.sample_interval_ms = 1;
-  config.obs.batch_packets = batch_packets;
   auto runtime = SuperFeRuntime::Create(policy, config);
   EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
   ObsRun run;
@@ -177,7 +176,7 @@ TEST(ObsExactnessTest, ExactTotalsAtEveryShardWorkerShape) {
     for (uint32_t workers : {0u, 1u, 4u}) {
       const std::string label =
           "shards=" + std::to_string(shards) + " workers=" + std::to_string(workers);
-      ObsRun run = RunFullObs(policy, trace, shards, workers, /*batch_packets=*/4096);
+      ObsRun run = RunFullObs(policy, trace, shards, workers);
       obs::MetricsRegistry* metrics = run.runtime->metrics();
       ASSERT_NE(metrics, nullptr) << label;
 
@@ -207,22 +206,6 @@ TEST(ObsExactnessTest, ExactTotalsAtEveryShardWorkerShape) {
   }
 }
 
-// The legacy per-packet cadence (batch_packets = 1) is just the smallest
-// batch: totals stay exact and identical to the default cadence's.
-TEST(ObsExactnessTest, LegacyPerPacketCadenceStaysExact) {
-  const Policy policy = ParseSource(kFlowStatsPolicy);
-  const Trace trace = GenerateTrace(CampusProfile(), 8000, /*seed=*/23);
-
-  ObsRun batched = RunFullObs(policy, trace, 2, 2, /*batch_packets=*/4096);
-  ObsRun legacy = RunFullObs(policy, trace, 2, 2, /*batch_packets=*/1);
-  ExpectMetricsMatchReport(batched.runtime->metrics(), batched.report, 2, 2, "batched");
-  ExpectMetricsMatchReport(legacy.runtime->metrics(), legacy.report, 2, 2, "legacy");
-  EXPECT_EQ(SortedMultiset(batched.vectors), SortedMultiset(legacy.vectors));
-  // Per-packet cadence flushes (far) more often for the same totals.
-  EXPECT_GT(Value(legacy.runtime->metrics(), "superfe_obs_flushes_total"),
-            Value(batched.runtime->metrics(), "superfe_obs_flushes_total"));
-}
-
 // A member crash mid-run exercises the failover fences: the dead member's
 // buffered deltas must fold at AbandonState(), and the surviving members'
 // totals must still reconcile exactly against the fault accounting.
@@ -240,7 +223,6 @@ TEST(ObsExactnessTest, ExactUnderMidRunMemberCrash) {
     config.obs.metrics = true;
     config.obs.latency = true;
     config.obs.profile = true;
-    config.obs.batch_packets = 4096;
     config.fault.plan = *plan;
     auto runtime = SuperFeRuntime::Create(policy, config);
     ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -311,7 +293,6 @@ TEST(ObsExactnessTest, FlushDeadlineRecoveryStaysExact) {
   options.parallel = true;
   options.metrics = &metrics;
   options.queue_capacity = 1 << 16;  // Producer never blocks.
-  options.obs_batch_packets = 4096;
   auto cluster =
       std::move(NicCluster::Create(*compiled, FeNicConfig{}, 1, &gate, options)).value();
 
@@ -339,7 +320,7 @@ TEST(ObsExactnessTest, FlushDeadlineRecoveryStaysExact) {
 TEST(ObsSamplerTest, SampledSeriesConvergeToExactTotals) {
   const Policy policy = ParseSource(kFlowStatsPolicy);
   const Trace trace = GenerateTrace(EnterpriseProfile(), 12000, /*seed=*/31);
-  ObsRun run = RunFullObs(policy, trace, 2, 2, /*batch_packets=*/4096);
+  ObsRun run = RunFullObs(policy, trace, 2, 2);
   ASSERT_GE(run.report.obs.samples_captured, 1u);
 
   // Reach into the sampler's series via the JSON-free accessor path: the

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -56,6 +57,20 @@ class CsvRowSink : public FeatureSink {
   std::string rows;
 };
 
+const char* const kExamplePolicies[] = {"basic_stats", "channel_stats", "direction_seq",
+                                        "frequency", "multi_granularity"};
+
+// `name` from examples/policies/.
+Policy ExamplePolicy(const std::string& name) {
+  std::ifstream in(std::string(SUPERFE_EXAMPLE_POLICIES) + "/" + name + ".sfe");
+  EXPECT_TRUE(in) << name;
+  std::stringstream text;
+  text << in.rdbuf();
+  auto policy = ParsePolicy(name, text.str());
+  EXPECT_TRUE(policy.ok()) << policy.status().ToString();
+  return std::move(policy).value();
+}
+
 TEST(RuntimeTest, SerialRunMatchesHandWiredReplayFeSwitchFeNic) {
   // The documented serial oracle: Replay -> FeSwitch -> FeNic wired by
   // hand, with no cluster, streaming replay or run loop in between. The
@@ -63,18 +78,12 @@ TEST(RuntimeTest, SerialRunMatchesHandWiredReplayFeSwitchFeNic) {
   // loop) must emit the same rows in the same order for every example
   // policy.
   const Trace trace = GenerateTrace(CampusProfile(), 30000, 1);
-  for (const char* name :
-       {"basic_stats", "channel_stats", "direction_seq", "frequency", "multi_granularity"}) {
+  for (const char* name : kExamplePolicies) {
     SCOPED_TRACE(name);
-    std::ifstream in(std::string(SUPERFE_EXAMPLE_POLICIES) + "/" + name + ".sfe");
-    ASSERT_TRUE(in);
-    std::stringstream text;
-    text << in.rdbuf();
-    auto policy = ParsePolicy(name, text.str());
-    ASSERT_TRUE(policy.ok()) << policy.status().ToString();
+    const Policy policy = ExamplePolicy(name);
 
     const RuntimeConfig config;
-    auto compiled = Compile(*policy);
+    auto compiled = Compile(policy);
     ASSERT_TRUE(compiled.ok());
     CsvRowSink oracle;
     auto nic = FeNic::Create(*compiled, config.nic, &oracle);
@@ -84,7 +93,7 @@ TEST(RuntimeTest, SerialRunMatchesHandWiredReplayFeSwitchFeNic) {
     fe_switch.Flush();
     (*nic)->Flush();
 
-    auto runtime = SuperFeRuntime::Create(*policy, config);
+    auto runtime = SuperFeRuntime::Create(policy, config);
     ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
     CsvRowSink serial;
     const RunReport report = (*runtime)->Run(trace, &serial);
@@ -120,7 +129,7 @@ TEST(RuntimeTest, SerialRunMatchesHandWiredReplayFeSwitchFeNic) {
     // series carry no shard label and the obs blocks are "switch"/"mgpv".
     RuntimeConfig metrics_config;
     metrics_config.obs.metrics = true;
-    auto observed = SuperFeRuntime::Create(*policy, metrics_config);
+    auto observed = SuperFeRuntime::Create(policy, metrics_config);
     ASSERT_TRUE(observed.ok()) << observed.status().ToString();
     CsvRowSink observed_rows;
     (*observed)->Run(trace, &observed_rows);
@@ -140,6 +149,44 @@ TEST(RuntimeTest, SerialRunMatchesHandWiredReplayFeSwitchFeNic) {
       EXPECT_TRUE(
           metrics.Value("superfe_obs_max_flush_lag_packets", {{"block", block}}).has_value())
           << block;
+    }
+  }
+}
+
+// The run's rows, one CSV row per vector, sorted.
+std::vector<std::string> SortedRows(const Policy& policy, const Trace& trace,
+                                    const RuntimeConfig& config) {
+  auto runtime = SuperFeRuntime::Create(policy, config);
+  EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
+  CsvRowSink sink;
+  (*runtime)->Run(trace, &sink);
+  std::vector<std::string> rows;
+  std::istringstream lines(sink.rows);
+  for (std::string row; std::getline(lines, row);) {
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// The batch-kernel gate: the SoA path (the default) gives the per-cell
+// oracle's rows (batch_kernels = false, serial), bit for bit after sorting,
+// for every example policy, serial and at 4 shards x 4 workers.
+TEST(RuntimeTest, BatchKernelsMatchPerCellOracle) {
+  const Trace trace = GenerateTrace(EnterpriseProfile(), 20000, 1);
+  for (const char* name : kExamplePolicies) {
+    SCOPED_TRACE(name);
+    const Policy policy = ExamplePolicy(name);
+    RuntimeConfig oracle_config;
+    oracle_config.nic.batch_kernels = false;
+    const std::vector<std::string> oracle = SortedRows(policy, trace, oracle_config);
+    ASSERT_FALSE(oracle.empty());
+    for (const uint32_t parallel : {0u, 4u}) {
+      RuntimeConfig config;
+      config.switch_shards = std::max(parallel, 1u);
+      config.worker_threads = parallel;
+      EXPECT_TRUE(SortedRows(policy, trace, config) == oracle)
+          << config.switch_shards << " shards x " << parallel << " workers";
     }
   }
 }

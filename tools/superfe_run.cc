@@ -9,8 +9,7 @@
 //               [--workers N] [--switch-shards N] [--pin-threads]
 //               [--metrics-json FILE] [--metrics-prom FILE]
 //               [--trace-out FILE] [--sample-interval-ms N]
-//               [--latency-report] [--samples-out FILE]
-//               [--obs-batch N] [--profile-cycles]
+//               [--latency-report] [--samples-out FILE] [--profile-cycles]
 //               [--telemetry-port P] [--telemetry-linger-ms N]
 //               [--fault-plan FILE] [--flush-timeout-ms N] [--watchdog-ms N]
 //               [--daemon] [--loop N] [--listen tcp:P|udp:P]
@@ -23,9 +22,9 @@
 //   1  export/output write failure
 //   2  usage error
 //   3  invalid configuration (policy parse/compile error, bad fault plan,
-//      unknown profile, bad --listen spec, a --workers/--switch-shards
-//      value that is not a decimal count, more workers than the runtime
-//      allows)
+//      unknown profile, bad --listen spec, a numeric flag whose value is
+//      not a plain decimal number in range, more workers or switch shards
+//      than the runtime allows)
 //   4  unreadable trace (pcap open/decode failure)
 //   5  degraded completion (a fault plan ran and the pipeline shed/lost/
 //      abandoned work or missed a flush deadline — outputs are still the
@@ -76,8 +75,6 @@ int Usage() {
                "                   [--sample-interval-ms N]  snapshot period (default 2)\n"
                "                   [--latency-report]     per-stage latency breakdown\n"
                "                   [--samples-out FILE]   sampler time series as JSON\n"
-               "                   [--obs-batch N]        hot-tier flush cadence in packets\n"
-               "                                          (default 4096; 1 = per-packet)\n"
                "                   [--profile-cycles]     measured per-stage cycle profile\n"
                "                                          (superfe_cycles_total{stage=...})\n"
                "                   [--telemetry-port P]   live telemetry HTTP server on\n"
@@ -89,8 +86,6 @@ int Usage() {
                "                                          (docs/ROBUSTNESS.md format)\n"
                "                   [--flush-timeout-ms N] cluster flush/join deadline\n"
                "                   [--watchdog-ms N]      worker stall watchdog timeout\n"
-               "                   [--no-batch-kernels]   per-cell scalar execution (skip\n"
-               "                                          the SoA batch feature kernels)\n"
                "                   [--daemon]             continuous operation: rolling MGPV\n"
                "                                          epochs + SIGTERM/SIGINT graceful\n"
                "                                          drain\n"
@@ -122,10 +117,11 @@ constexpr int kExitUnreadableTrace = 4;
 constexpr int kExitDegraded = 5;
 constexpr int kExitDrained = 6;
 
-// Strict unsigned parse: the whole string, decimal digits only, no sign or
-// space, within uint32_t. strtoul would take "-1" as 4294967295 and "abc"
-// as 0.
-bool ParseU32(const char* text, uint32_t* out) {
+// Strict numeric parse: the whole string, decimal digits only (a leading
+// '-' only for a signed T), no space, within T. strtoul would take "-1" as
+// its maximum and "abc" as 0.
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
   const char* end = text + std::strlen(text);
   const auto [ptr, ec] = std::from_chars(text, end, *out);
   return ec == std::errc() && ptr == end;
@@ -243,17 +239,16 @@ int main(int argc, char** argv) {
   std::string samples_out_path;
   uint32_t sample_interval_ms = 2;
   bool latency_report = false;
-  uint32_t obs_batch = 0;  // 0 = keep the RuntimeConfig default.
   bool profile_cycles = false;
   int32_t telemetry_port = -1;      // -1 = off, 0 = ephemeral.
   uint64_t telemetry_linger_ms = 0;
   std::string fault_plan_path;
   uint64_t flush_timeout_ms = 0;
   uint32_t watchdog_ms = 0;
-  bool no_batch_kernels = false;
   bool daemon_mode = false;
   uint64_t loop = 1;
-  std::string listen_spec;
+  bool listen = false;
+  SocketSourceOptions listen_options;
   size_t chunk_packets = 8192;
   uint64_t epoch_packets = 262144;
   uint64_t epoch_ms = 0;
@@ -262,29 +257,34 @@ int main(int argc, char** argv) {
   uint64_t max_epochs = 0;
   size_t shed_after = 0;
   uint64_t drain_timeout_ms = 0;
-  for (int i = 2; i < argc; ++i) {
+  int i = 2;
+  bool bad_value = false;
+  // Parses the current flag's value strictly; a bad one exits 3 below.
+  const auto number = [&](auto* out) {
+    const char* flag = argv[i];
+    const char* text = argv[++i];
+    if (!ParseNumber(text, out)) {
+      std::fprintf(stderr, "%s: '%s' is not a valid number\n", flag, text);
+      bad_value = true;
+    }
+  };
+  for (; i < argc && !bad_value; ++i) {
     if (std::strcmp(argv[i], "--pcap") == 0 && i + 1 < argc) {
       pcap_path = argv[++i];
     } else if (std::strcmp(argv[i], "--profile") == 0 && i + 1 < argc) {
       profile_name = argv[++i];
     } else if (std::strcmp(argv[i], "--packets") == 0 && i + 1 < argc) {
-      packets = std::strtoull(argv[++i], nullptr, 10);
+      number(&packets);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      number(&seed);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--report") == 0) {
       report = true;
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      if (!ParseU32(argv[++i], &workers)) {
-        std::fprintf(stderr, "--workers: '%s' is not a count\n", argv[i]);
-        return kExitInvalidConfig;
-      }
+      number(&workers);
     } else if (std::strcmp(argv[i], "--switch-shards") == 0 && i + 1 < argc) {
-      if (!ParseU32(argv[++i], &switch_shards)) {
-        std::fprintf(stderr, "--switch-shards: '%s' is not a count\n", argv[i]);
-        return kExitInvalidConfig;
-      }
+      number(&switch_shards);
     } else if (std::strcmp(argv[i], "--pin-threads") == 0) {
       pin_threads = true;
     } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
@@ -294,58 +294,73 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--sample-interval-ms") == 0 && i + 1 < argc) {
-      sample_interval_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      number(&sample_interval_ms);
     } else if (std::strcmp(argv[i], "--latency-report") == 0) {
       latency_report = true;
     } else if (std::strcmp(argv[i], "--samples-out") == 0 && i + 1 < argc) {
       samples_out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs-batch") == 0 && i + 1 < argc) {
-      obs_batch = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--profile-cycles") == 0) {
       profile_cycles = true;
     } else if (std::strcmp(argv[i], "--telemetry-port") == 0 && i + 1 < argc) {
-      telemetry_port = static_cast<int32_t>(std::strtol(argv[++i], nullptr, 10));
+      number(&telemetry_port);
+      if (!bad_value && (telemetry_port < -1 || telemetry_port > 65535)) {
+        std::fprintf(stderr, "--telemetry-port: %d is not -1 or a port\n", telemetry_port);
+        bad_value = true;
+      }
     } else if (std::strcmp(argv[i], "--telemetry-linger-ms") == 0 && i + 1 < argc) {
-      telemetry_linger_ms = std::strtoull(argv[++i], nullptr, 10);
+      number(&telemetry_linger_ms);
     } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
       fault_plan_path = argv[++i];
     } else if (std::strcmp(argv[i], "--flush-timeout-ms") == 0 && i + 1 < argc) {
-      flush_timeout_ms = std::strtoull(argv[++i], nullptr, 10);
+      number(&flush_timeout_ms);
     } else if (std::strcmp(argv[i], "--watchdog-ms") == 0 && i + 1 < argc) {
-      watchdog_ms = static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--no-batch-kernels") == 0) {
-      no_batch_kernels = true;
+      number(&watchdog_ms);
     } else if (std::strcmp(argv[i], "--daemon") == 0) {
       daemon_mode = true;
     } else if (std::strcmp(argv[i], "--loop") == 0 && i + 1 < argc) {
-      loop = std::strtoull(argv[++i], nullptr, 10);
+      number(&loop);
     } else if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
-      listen_spec = argv[++i];
+      // tcp:PORT or udp:PORT (a bare protocol = ephemeral port).
+      const std::string spec = argv[++i];
+      const size_t colon = spec.find(':');
+      const std::string proto = spec.substr(0, colon);
+      listen = true;
+      listen_options.udp = proto == "udp";
+      if ((proto != "tcp" && proto != "udp") ||
+          (colon != std::string::npos &&
+           !ParseNumber(spec.c_str() + colon + 1, &listen_options.port))) {
+        std::fprintf(stderr, "bad --listen spec '%s' (want tcp:PORT or udp:PORT)\n",
+                     spec.c_str());
+        bad_value = true;
+      }
     } else if (std::strcmp(argv[i], "--chunk-packets") == 0 && i + 1 < argc) {
-      chunk_packets = std::strtoull(argv[++i], nullptr, 10);
+      number(&chunk_packets);
     } else if (std::strcmp(argv[i], "--epoch-packets") == 0 && i + 1 < argc) {
-      epoch_packets = std::strtoull(argv[++i], nullptr, 10);
+      number(&epoch_packets);
     } else if (std::strcmp(argv[i], "--epoch-ms") == 0 && i + 1 < argc) {
-      epoch_ms = std::strtoull(argv[++i], nullptr, 10);
+      number(&epoch_ms);
     } else if (std::strcmp(argv[i], "--epoch-dir") == 0 && i + 1 < argc) {
       epoch_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--max-seconds") == 0 && i + 1 < argc) {
-      max_seconds = std::strtoull(argv[++i], nullptr, 10);
+      number(&max_seconds);
     } else if (std::strcmp(argv[i], "--max-epochs") == 0 && i + 1 < argc) {
-      max_epochs = std::strtoull(argv[++i], nullptr, 10);
+      number(&max_epochs);
     } else if (std::strcmp(argv[i], "--shed-after") == 0 && i + 1 < argc) {
-      shed_after = std::strtoull(argv[++i], nullptr, 10);
+      number(&shed_after);
     } else if (std::strcmp(argv[i], "--drain-timeout-ms") == 0 && i + 1 < argc) {
-      drain_timeout_ms = std::strtoull(argv[++i], nullptr, 10);
+      number(&drain_timeout_ms);
     } else {
       return Usage();
     }
+  }
+  if (bad_value) {
+    return kExitInvalidConfig;
   }
   if (loop == 0 && !daemon_mode) {
     std::fprintf(stderr, "--loop 0 (run until stopped) requires --daemon\n");
     return Usage();
   }
-  if (!listen_spec.empty() && !daemon_mode) {
+  if (listen && !daemon_mode) {
     std::fprintf(stderr, "--listen requires --daemon\n");
     return Usage();
   }
@@ -415,9 +430,6 @@ int main(int argc, char** argv) {
   config.obs.telemetry_port = telemetry_port;
   config.obs.run_label =
       !pcap_path.empty() ? pcap_path : "profile:" + profile_name;
-  if (obs_batch > 0) {
-    config.obs.batch_packets = obs_batch;
-  }
   if (!fault_plan_path.empty()) {
     std::ifstream plan_in(fault_plan_path);
     if (!plan_in) {
@@ -433,7 +445,6 @@ int main(int argc, char** argv) {
     }
     config.fault.plan = std::move(plan).value();
   }
-  config.nic.batch_kernels = !no_batch_kernels;
   config.fault.flush_timeout_ms = flush_timeout_ms;
   if (watchdog_ms > 0) {
     // Poll a few times per timeout so a stall is caught promptly.
@@ -456,30 +467,15 @@ int main(int argc, char** argv) {
   // `loop` times from its one in-memory copy.
   std::unique_ptr<PacketSource> source;
   LoopedTrace trigger_axis;  // Socket ingest has no packet axis up front.
-  if (!listen_spec.empty()) {
-    SocketSourceOptions sopt;
-    const size_t colon = listen_spec.find(':');
-    const std::string proto =
-        colon == std::string::npos ? listen_spec : listen_spec.substr(0, colon);
-    if (proto == "udp") {
-      sopt.udp = true;
-    } else if (proto != "tcp") {
-      std::fprintf(stderr, "bad --listen spec '%s' (want tcp:PORT or udp:PORT)\n",
-                   listen_spec.c_str());
-      return kExitInvalidConfig;
-    }
-    if (colon != std::string::npos) {
-      sopt.port =
-          static_cast<uint16_t>(std::strtoul(listen_spec.c_str() + colon + 1, nullptr, 10));
-    }
-    auto opened = SocketSource::Open(sopt);
+  if (listen) {
+    auto opened = SocketSource::Open(listen_options);
     if (!opened.ok()) {
       std::fprintf(stderr, "listen error: %s\n", opened.status().ToString().c_str());
       return kExitInvalidConfig;
     }
     // Scripts parse this line to find an ephemeral port; keep it stable.
     std::fprintf(stderr, "ingest: listening on 127.0.0.1:%u (%s)\n", (*opened)->port(),
-                 sopt.udp ? "udp" : "tcp");
+                 listen_options.udp ? "udp" : "tcp");
     std::fflush(stderr);
     source = std::move(opened).value();
   } else {
